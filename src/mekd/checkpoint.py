@@ -88,18 +88,28 @@ def loads(blob: bytes) -> dict[str, np.ndarray]:
     return params
 
 
-def save(path: str | os.PathLike, params: dict[str, np.ndarray]) -> None:
-    blob = dumps(params)
+# mkstemp makes 0600 files; written files get the mode open() would give.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
+def atomic_write(path: str | os.PathLike, blob: bytes) -> None:
+    """Write blob to a temp file beside path, then rename it over path."""
     directory = os.path.dirname(os.fspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
             fh.write(blob)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save(path: str | os.PathLike, params: dict[str, np.ndarray]) -> None:
+    atomic_write(path, dumps(params))
 
 
 def load(path: str | os.PathLike) -> dict[str, np.ndarray]:

@@ -10,118 +10,93 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+from dataclasses import fields
+
+from .distill import DistillConfig
+from .gan import GanConfig
 
 
 class ConfigError(ValueError):
     """Invalid, unknown, or uncoercible configuration values."""
 
 
-# (section, key) -> (default, kind); kind drives parsing and formatting.
-SCHEMA: dict[str, dict[str, tuple[object, str]]] = {
+# section -> key -> default; the type of the default drives parsing and
+# formatting (tuples are comma-separated ints).  [gan] and [distill] are the
+# fields of GanConfig and DistillConfig, in field order, keys lowercased.
+SECTION_TYPES = {"gan": GanConfig, "distill": DistillConfig}
+
+SCHEMA: dict[str, dict[str, object]] = {
     "run": {
-        "seed": (0, "int"),
-        "out_dir": ("runs/default", "str"),
+        "seed": 0,
+        "out_dir": "runs/default",
     },
     "data": {
-        "kind": ("blobs", "str"),                # blobs | mnist
-        "num_classes": (4, "int"),
-        "n": (64, "int"),
-        "per_class": (500, "int"),
-        "per_class_test": (100, "int"),
-        "spread": (0.05, "float"),
-        "centroid_seed": (7, "int"),
-        "value_lo": (0.0, "float"),
-        "value_hi": (1.0, "float"),
-        "mnist_dir": ("", "str"),
-        "train_subset": (5000, "int"),
-        "test_subset": (1000, "int"),
-        "split": ("same", "str"),                # same | disjoint (GAN vs distill data)
+        "kind": "blobs",                # blobs | mnist
+        "num_classes": 4,
+        "n": 64,
+        "per_class": 500,
+        "per_class_test": 100,
+        "spread": 0.05,
+        "centroid_seed": 7,
+        "value_lo": 0.0,
+        "value_hi": 1.0,
+        "mnist_dir": "",
+        "train_subset": 5000,
+        "test_subset": 1000,
+        "split": "same",                # same | disjoint (GAN vs distill data)
     },
     "teacher": {
-        "hidden": ((128, 64), "ints"),
-        "activation": ("relu", "str"),
-        "epochs": (60, "int"),
-        "m": (64, "int"),
-        "lr": (0.2, "float"),
-        "momentum": (0.9, "float"),
-        "milestones": ((40, 52), "ints"),
-        "gamma": (0.1, "float"),
-        "hflip": (False, "bool"),
-        "crop_pad": (0, "int"),
+        "hidden": (128, 64),
+        "activation": "relu",
+        "epochs": 60,
+        "m": 64,
+        "lr": 0.2,
+        "momentum": 0.9,
+        "milestones": (40, 52),
+        "gamma": 0.1,
+        "hflip": False,
+        "crop_pad": 0,
     },
     "student": {
-        "hidden": ((32,), "ints"),
-        "activation": ("relu", "str"),
+        "hidden": (32,),
+        "activation": "relu",
     },
     "generator": {
-        "hidden": ((64, 128), "ints"),
-        "activation": ("relu", "str"),
+        "hidden": (64, 128),
+        "activation": "relu",
     },
     "discriminator": {
-        "hidden": ((128, 64), "ints"),
-        "activation": ("leaky_relu", "str"),
+        "hidden": (128, 64),
+        "activation": "leaky_relu",
     },
-    "gan": {
-        "m": (64, "int"),
-        "k": (1, "int"),
-        "lr_g": (0.05, "float"),
-        "lr_d": (0.05, "float"),
-        "epochs": (150, "int"),
-        "variant": ("wgan-gp", "str"),   # vanilla is available but collapses modes at this scale
-        "gp_lambda": (10.0, "float"),
-        "generator_loss_mode": ("non-saturating", "str"),
-        "momentum": (0.5, "float"),
-        "milestones": ((100, 130), "ints"),
-        "gamma": (0.1, "float"),
-        "prior": ("gaussian", "str"),
-        "snapshot_epochs": ((10, 60, 149), "ints"),
-        "clip_norm": (5.0, "float"),
-    },
-    "distill": {
-        "p_norm": (1, "int"),
-        "alpha": (1.0, "float"),
-        "beta": (1.0, "float"),
-        "tau": (1.0, "float"),
-        "kd_tau": (4.0, "float"),
-        "gen_tau": (1.0, "float"),
-        "gen_input": ("probs", "str"),
-        "m": (64, "int"),
-        "epochs": (50, "int"),
-        "lr": (0.1, "float"),
-        "momentum": (0.9, "float"),
-        "milestones": ((30, 42), "ints"),
-        "gamma": (0.1, "float"),
-        "cache_teacher": (True, "bool"),
-    },
+    **{section: {f.name.lower(): f.default for f in fields(cls)}
+       for section, cls in SECTION_TYPES.items()},
 }
 
 
-def _parse_value(raw: str, kind: str, where: str):
+def _parse_value(raw: str, default, where: str):
     raw = raw.strip()
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
+        if isinstance(default, bool):
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        if kind == "ints":
+        if isinstance(default, tuple):
             return tuple(int(part) for part in raw.split(",") if part.strip() != "")
-        return raw
+        return type(default)(raw)
     except ValueError:
+        kind = "ints" if isinstance(default, tuple) else type(default).__name__
         raise ConfigError(f"cannot parse {where} = {raw!r} as {kind}") from None
 
 
-def _format_value(value, kind: str) -> str:
-    if kind == "bool":
+def _format_value(value, default) -> str:
+    if isinstance(default, bool):
         return "true" if value else "false"
-    if kind == "float":
+    if isinstance(default, float):
         return repr(float(value))
-    if kind == "ints":
+    if isinstance(default, tuple):
         return ",".join(str(v) for v in value)
     return str(value)
 
@@ -134,7 +109,7 @@ class RunConfig:
 
     @classmethod
     def defaults(cls) -> "RunConfig":
-        return cls({s: {k: d for k, (d, _) in keys.items()} for s, keys in SCHEMA.items()})
+        return cls({s: dict(keys) for s, keys in SCHEMA.items()})
 
     @classmethod
     def from_ini(cls, text: str) -> "RunConfig":
@@ -151,8 +126,8 @@ class RunConfig:
             for key, raw in parser.items(section):
                 if key not in SCHEMA[section]:
                     raise ConfigError(f"unknown config key {key!r} in section [{section}]")
-                kind = SCHEMA[section][key][1]
-                values[section][key] = _parse_value(raw, kind, f"[{section}] {key}")
+                values[section][key] = _parse_value(raw, SCHEMA[section][key],
+                                                    f"[{section}] {key}")
         return cls(values)
 
     @classmethod
@@ -176,12 +151,18 @@ class RunConfig:
         values[section][key] = value
         return RunConfig(values)
 
+    def build(self, section: str, **overrides):
+        """The section as its dataclass (GanConfig, DistillConfig), overrides applied."""
+        cls = SECTION_TYPES[section]
+        values = {f.name: self._values[section][f.name.lower()] for f in fields(cls)}
+        return cls(**{**values, **overrides})
+
     def serialize(self) -> str:
         out = io.StringIO()
         for section, keys in SCHEMA.items():
             out.write(f"[{section}]\n")
-            for key, (_, kind) in keys.items():
-                out.write(f"{key} = {_format_value(self._values[section][key], kind)}\n")
+            for key, default in keys.items():
+                out.write(f"{key} = {_format_value(self._values[section][key], default)}\n")
             out.write("\n")
         return out.getvalue()
 

@@ -20,11 +20,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .data import Dataset, batches
-from .metrics import accuracy
+from .metrics import PROB_FLOOR, accuracy
 from .nets import Network
 from .optim import SGD, TrainingDiverged, multistep_lr
 
-PROB_FLOOR = 1e-12
 GEN_INPUTS = ("probs", "logits")
 
 
@@ -80,10 +79,12 @@ class BlindTeacher:
 
 @dataclass(frozen=True)
 class DistillConfig:
+    """Stage-2 settings; its fields, in order, are the [distill] config keys."""
     p_norm: int = 1
     alpha: float = 1.0
     beta: float = 1.0
     tau: float = 1.0
+    kd_tau: float = 4.0  # tau of the kd baseline run
     gen_tau: float = 1.0
     gen_input: str = "probs"
     m: int = 64

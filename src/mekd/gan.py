@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .data import Dataset, batches
-from .nets import Network
+from .nets import HIDDEN_DERIVATIVE, Network
 from .optim import SGD, TrainingDiverged, multistep_lr
 
 EPS = 1e-7
@@ -41,18 +41,21 @@ class NoisePrior:
 
 @dataclass(frozen=True)
 class GanConfig:
+    """Stage-1 settings; its fields, in order, are the [gan] config keys."""
     m: int = 64
     k: int = 1
     lr_G: float = 0.05
     lr_D: float = 0.05
-    epochs: int = 200
-    variant: str = "vanilla"
+    epochs: int = 150
+    variant: str = "wgan-gp"  # vanilla is available but collapses modes at this scale
     gp_lambda: float = 10.0
     generator_loss_mode: str = "non-saturating"
     momentum: float = 0.5
-    milestones: tuple[int, ...] = ()
+    milestones: tuple[int, ...] = (100, 130)
     gamma: float = 0.1
-    clip_norm: float | None = None
+    prior: str = "gaussian"
+    snapshot_epochs: tuple[int, ...] = (10, 60, 149)
+    clip_norm: float = 5.0  # global gradient-norm clip; 0 disables it
 
     def __post_init__(self):
         if self.m < 1 or self.k < 1 or self.epochs < 0:
@@ -65,8 +68,8 @@ class GanConfig:
             raise ValueError(f"unknown generator loss mode {self.generator_loss_mode!r}")
         if self.gp_lambda < 0:
             raise ValueError("gp_lambda must be >= 0")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive when set")
+        if self.clip_norm < 0:
+            raise ValueError("clip_norm must be >= 0 (0 disables clipping)")
 
 
 def sample_noise(prior: NoisePrior, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -113,42 +116,12 @@ def score_and_input_gradient(D: Network, x: Tensor) -> tuple[Tensor, Tensor]:
     differentiable with respect to the critic's parameters; this is what
     lets the gradient penalty train by ordinary backprop.
     """
-    act = D.spec.activation
-    t = x
-    hidden: list[tuple[Tensor, Tensor]] = []  # (pre-activation, activation)
-    for i, (w, b) in enumerate(D.layers):
-        a = ad.matmul(t, w) + b
-        if i < len(D.layers) - 1:
-            if act == "relu":
-                h = ad.relu(a)
-            elif act == "leaky_relu":
-                h = ad.leaky_relu(a, 0.2)
-            elif act == "tanh":
-                h = ad.tanh(a)
-            else:
-                h = ad.sigmoid(a)
-            hidden.append((a, h))
-            t = h
-        else:
-            score = a
-
-    m = x.data.shape[0]
-    delta = ad.constant(np.ones((m, 1)))
-    for i in reversed(range(len(D.layers))):
-        w, _ = D.layers[i]
-        gamma = ad.matmul(delta, ad.transpose(w))
-        if i == 0:
-            return score, gamma
-        a_prev, h_prev = hidden[i - 1]
-        if act == "relu":
-            delta = gamma * ad.constant((a_prev.data > 0).astype(float))
-        elif act == "leaky_relu":
-            delta = gamma * ad.constant(np.where(a_prev.data > 0, 1.0, 0.2))
-        elif act == "tanh":
-            delta = gamma * (1.0 - ad.square(h_prev))
-        else:
-            delta = gamma * (h_prev * (1.0 - h_prev))
-    raise AssertionError("unreachable: network has at least one layer")
+    score, _, hidden = D._pre_head(x)
+    derivative = HIDDEN_DERIVATIVE[D.spec.activation]
+    delta = ad.constant(np.ones((x.data.shape[0], 1)))
+    for (w, _), (a, h) in zip(reversed(D.layers[1:]), reversed(hidden)):
+        delta = ad.matmul(delta, ad.transpose(w)) * derivative(a, h)
+    return score, ad.matmul(delta, ad.transpose(D.layers[0][0]))
 
 
 def gradient_penalty(D: Network, x_real: np.ndarray, x_fake: np.ndarray,
@@ -244,8 +217,9 @@ def train_gan(G: Network, D: Network, ds: Dataset, cfg: GanConfig,
     if G.spec.output_dim != ds.n:
         raise ValueError(f"generator output width {G.spec.output_dim} != sample width {ds.n}")
 
-    opt_G = SGD(G.params, cfg.lr_G, momentum=cfg.momentum, clip_norm=cfg.clip_norm)
-    opt_D = SGD(D.params, cfg.lr_D, momentum=cfg.momentum, clip_norm=cfg.clip_norm)
+    clip_norm = cfg.clip_norm or None
+    opt_G = SGD(G.params, cfg.lr_G, momentum=cfg.momentum, clip_norm=clip_norm)
+    opt_D = SGD(D.params, cfg.lr_D, momentum=cfg.momentum, clip_norm=clip_norm)
     log: list[dict] = []
     for epoch in range(cfg.epochs):
         opt_G.lr = multistep_lr(epoch, cfg.lr_G, list(cfg.milestones), cfg.gamma)

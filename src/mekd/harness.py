@@ -24,18 +24,20 @@ from .autodiff import no_grad
 from .config import ConfigError, RunConfig
 from .data import Dataset, augment, batches, parse_idx, synth_blobs
 from .distill import BlindTeacher, DistillConfig, baseline_kd, distill, generation_distance, kld_loss
-from .gan import GanConfig, NoisePrior, sample_noise, train_gan
-from .metrics import accuracy, frechet_distance, record_logit_gradients, supervised_ce_loss
+from .gan import NoisePrior, sample_noise, train_gan
+from .metrics import accuracy, cross_entropy, frechet_distance, record_logit_gradients
 from .nets import Network, NetworkSpec, build_network
-from .optim import SGD, multistep_lr
+from .optim import SGD, TrainingDiverged, multistep_lr
 
 log = logging.getLogger("mekd")
 
 # Spawn-key namespaces (first element) for the run seed.
 KEY_DATA_TRAIN = 1
 KEY_DATA_TEST = 2
+KEY_DATA_SPLIT = 3
 KEY_TEACHER_EPOCH = 41      # (41, epoch)
 KEY_FID_NOISE = 51          # (51, tag)
+KEY_FID_REAL = 52
 KEY_PROFILE = 61
 INIT_TEACHER = 201
 INIT_STUDENT = 202
@@ -56,13 +58,9 @@ def _fmt(value) -> str:
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> None:
-    """Write atomically: temp file in place, then rename."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    os.replace(tmp, path)
+    """Write atomically, as checkpoints are: temp file in place, then rename."""
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    checkpoint.atomic_write(path, "".join(line + "\n" for line in lines).encode("utf-8"))
 
 
 def append_results_row(path, header: list[str], row: list) -> None:
@@ -124,13 +122,20 @@ def _load_mnist(cfg: RunConfig) -> tuple[Dataset, Dataset]:
 
 
 def gan_and_distill_splits(cfg: RunConfig, train: Dataset) -> tuple[Dataset, Dataset]:
-    """Which samples stage 1 and stage 2 each see; 'same' shares everything."""
+    """Which samples stage 1 and stage 2 each see; 'same' shares everything.
+
+    'disjoint' halves the set by a seeded permutation stratified by class,
+    so each half holds about half of every class (data files are sorted by
+    class, so a prefix would not); it reads the training labels once.
+    """
     mode = cfg.get("data", "split")
     if mode == "same":
         return train, train
     if mode == "disjoint":
-        half = len(train) // 2
-        return train.take(np.arange(half)), train.take(np.arange(half, len(train)))
+        rng = np.random.default_rng(_seq(cfg.get("run", "seed"), KEY_DATA_SPLIT))
+        order = rng.permutation(len(train))
+        order = order[np.argsort(train.labels[order], kind="stable")]
+        return train.take(np.sort(order[1::2])), train.take(np.sort(order[0::2]))
     raise ConfigError(f"unknown data split {mode!r}")
 
 
@@ -156,39 +161,23 @@ def build_role(cfg: RunConfig, which: str, n: int, num_classes: int) -> Network:
                          _seq(cfg.get("run", "seed"), init_key))
 
 
-def _load_role(cfg: RunConfig, which: str, n: int, num_classes: int, path) -> Network:
-    net = build_role(cfg, which, n, num_classes)
+def _load_role(cfg: RunConfig, which: str, ds: Dataset, path) -> Network:
+    """The frozen network of role `which`, sized for ds, with path's weights."""
+    net = build_role(cfg, which, ds.n, ds.num_classes)
     try:
         net.load_state_dict(checkpoint.load(path))
     except FileNotFoundError:
         raise ConfigError(f"missing checkpoint {path}; run the earlier stage first") from None
-    return net
-
-
-def gan_config(cfg: RunConfig) -> GanConfig:
-    return GanConfig(m=cfg.get("gan", "m"), k=cfg.get("gan", "k"),
-                     lr_G=cfg.get("gan", "lr_g"), lr_D=cfg.get("gan", "lr_d"),
-                     epochs=cfg.get("gan", "epochs"), variant=cfg.get("gan", "variant"),
-                     gp_lambda=cfg.get("gan", "gp_lambda"),
-                     generator_loss_mode=cfg.get("gan", "generator_loss_mode"),
-                     momentum=cfg.get("gan", "momentum"),
-                     milestones=cfg.get("gan", "milestones"), gamma=cfg.get("gan", "gamma"),
-                     clip_norm=cfg.get("gan", "clip_norm") or None)
+    return net.freeze()
 
 
 def distill_config(cfg: RunConfig, method: str) -> DistillConfig:
-    base = dict(p_norm=cfg.get("distill", "p_norm"), alpha=cfg.get("distill", "alpha"),
-                beta=cfg.get("distill", "beta"), tau=cfg.get("distill", "tau"),
-                gen_tau=cfg.get("distill", "gen_tau"), gen_input=cfg.get("distill", "gen_input"),
-                m=cfg.get("distill", "m"), epochs=cfg.get("distill", "epochs"),
-                lr=cfg.get("distill", "lr"), momentum=cfg.get("distill", "momentum"),
-                milestones=cfg.get("distill", "milestones"), gamma=cfg.get("distill", "gamma"),
-                cache_teacher=cfg.get("distill", "cache_teacher"))
+    """[distill] as a DistillConfig; kd is the same loop with alpha 0 at kd_tau."""
     if method == "kd":
-        base.update(alpha=0.0, tau=cfg.get("distill", "kd_tau"))
-    elif method != "mekd":
+        return cfg.build("distill", alpha=0.0, tau=cfg.get("distill", "kd_tau"))
+    if method != "mekd":
         raise ConfigError(f"unknown method {method!r}; expected mekd or kd")
-    return DistillConfig(**base)
+    return cfg.build("distill")
 
 
 # -- stage: teacher ----------------------------------------------------------
@@ -210,20 +199,21 @@ def train_teacher(cfg: RunConfig, train: Dataset, test: Dataset) -> tuple[Networ
         total = 0.0
         idx_batches = batches(train, min(cfg.get("teacher", "m"), len(train)),
                               seed=rng, shuffle=True)
-        for idx in idx_batches:
+        for step, idx in enumerate(idx_batches):
             xb = train.samples[idx]
             if use_hflip or crop_pad > 0:
                 xb = np.stack([
                     augment(row, hflip_flag=use_hflip and rng.random() < 0.5,
                             crop_pad=crop_pad, rng=rng)
                     for row in xb])
-            onehot = np.zeros((len(idx), train.num_classes))
-            onehot[np.arange(len(idx)), labels[idx]] = 1.0
-            probs = net.classify(ad.constant(xb))
-            picked = (probs * ad.constant(onehot)).sum(axis=1)
-            loss = -ad.log(ad.clip(picked, 1e-12, 1.0)).mean()
-            opt.zero_grad()
-            loss.backward()
+            try:
+                loss = cross_entropy(net.classify(ad.constant(xb)), labels[idx])
+                opt.zero_grad()
+                loss.backward()
+            except ad.NonFiniteError as e:
+                raise TrainingDiverged(
+                    f"non-finite value in teacher training at epoch {epoch} step {step} "
+                    f"(op {e.op!r})") from e
             opt.step()
             total += loss.item()
         rows.append({"epoch": epoch, "loss": total / len(idx_batches),
@@ -251,16 +241,29 @@ def run_train_teacher(cfg: RunConfig, out_dir: str) -> dict:
 # -- stage: GAN ---------------------------------------------------------------
 
 
+FID_ROWS = 2000
+
+
 def generator_fid(cfg: RunConfig, G: Network, real: Dataset, tag: int = 0) -> float:
-    """Fréchet distance between noise-generated images and the real set."""
+    """Fréchet distance between noise-generated images and the real set.
+
+    Beyond FID_ROWS real rows the reference is a seeded subset, the same
+    for every tag (data files are sorted by class, so a prefix would drop
+    classes).
+    """
     seed = cfg.get("run", "seed")
     prior = NoisePrior(cfg.get("gan", "prior"), real.num_classes)
     rng = np.random.default_rng(_seq(seed, KEY_FID_NOISE, tag))
-    count = min(len(real), 2000)
+    count = min(len(real), FID_ROWS)
     z = sample_noise(prior, count, rng)
     with no_grad():
         fake = G.generate(ad.constant(z)).data
-    return frechet_distance(fake, real.samples[:count])
+    reference = real.samples
+    if len(real) > FID_ROWS:
+        pick = np.random.default_rng(_seq(seed, KEY_FID_REAL)).choice(
+            len(real), FID_ROWS, replace=False)
+        reference = reference[np.sort(pick)]
+    return frechet_distance(fake, reference)
 
 
 def run_train_gan(cfg: RunConfig, out_dir: str) -> dict:
@@ -278,7 +281,7 @@ def run_train_gan(cfg: RunConfig, out_dir: str) -> dict:
             path = os.path.join(out_dir, f"generator_epoch{epoch:04d}.ckpt")
             checkpoint.save(path, G_now.state_dict())
 
-    G, gan_log = train_gan(G, D, gan_ds, gan_config(cfg), prior, seed,
+    G, gan_log = train_gan(G, D, gan_ds, cfg.build("gan"), prior, seed,
                            epoch_callback=on_epoch)
     checkpoint.save(os.path.join(out_dir, "generator.ckpt"), G.state_dict())
     write_csv(os.path.join(out_dir, "gan_log.csv"),
@@ -315,9 +318,7 @@ def run_distill(cfg: RunConfig, out_dir: str, method: str) -> dict:
     seed = cfg.get("run", "seed")
     dcfg = distill_config(cfg, method)
 
-    teacher = _load_role(cfg, "teacher", train.n, train.num_classes,
-                         os.path.join(out_dir, "teacher.ckpt"))
-    teacher.freeze()
+    teacher = _load_role(cfg, "teacher", train, os.path.join(out_dir, "teacher.ckpt"))
     blind = BlindTeacher.from_network(teacher, cache=dcfg.cache_teacher)
     student = build_role(cfg, "student", train.n, train.num_classes)
 
@@ -327,9 +328,7 @@ def run_distill(cfg: RunConfig, out_dir: str, method: str) -> dict:
     else:
         G = None
         if dcfg.alpha > 0:
-            G = _load_role(cfg, "generator", train.n, train.num_classes,
-                           os.path.join(out_dir, "generator.ckpt"))
-            G.freeze()
+            G = _load_role(cfg, "generator", train, os.path.join(out_dir, "generator.ckpt"))
         student, d_log = distill(student, blind, G, distill_ds, dcfg, seed,
                                  eval_train=train, eval_test=test)
 
@@ -365,15 +364,12 @@ def run_ablation_fid(cfg: RunConfig, out_dir: str) -> list[dict]:
             f"FID ablation needs >= 2 generator snapshots in {out_dir}; found {len(found)} "
             f"(set [gan] snapshot_epochs and rerun train-gan)")
 
-    teacher = _load_role(cfg, "teacher", train.n, train.num_classes,
-                         os.path.join(out_dir, "teacher.ckpt"))
-    teacher.freeze()
+    teacher = _load_role(cfg, "teacher", train, os.path.join(out_dir, "teacher.ckpt"))
     dcfg = distill_config(cfg, "mekd")
 
     entries = []
     for epoch, path in found:
-        G = _load_role(cfg, "generator", train.n, train.num_classes, path)
-        G.freeze()
+        G = _load_role(cfg, "generator", train, path)
         entries.append((generator_fid(cfg, G, distill_ds, tag=epoch), epoch, G))
     entries.sort(key=lambda t: t[0])
 
@@ -398,17 +394,16 @@ def run_ablation_fid(cfg: RunConfig, out_dir: str) -> list[dict]:
 def run_eval(cfg: RunConfig, out_dir: str) -> dict:
     train, test = load_dataset(cfg)
     out: dict = {}
-    teacher = _load_role(cfg, "teacher", train.n, train.num_classes,
-                         os.path.join(out_dir, "teacher.ckpt"))
+    teacher = _load_role(cfg, "teacher", train, os.path.join(out_dir, "teacher.ckpt"))
     out["teacher_acc"] = accuracy(teacher, test)
     for method in ("mekd", "kd"):
         path = os.path.join(out_dir, f"student_{method}.ckpt")
         if os.path.exists(path):
-            student = _load_role(cfg, "student", train.n, train.num_classes, path)
+            student = _load_role(cfg, "student", train, path)
             out[f"student_acc_{method}"] = accuracy(student, test)
     gen_path = os.path.join(out_dir, "generator.ckpt")
     if os.path.exists(gen_path):
-        G = _load_role(cfg, "generator", train.n, train.num_classes, gen_path)
+        G = _load_role(cfg, "generator", train, gen_path)
         gan_ds, _ = gan_and_distill_splits(cfg, train)
         out["gen_fid"] = generator_fid(cfg, G, gan_ds)
     for key, value in out.items():
@@ -420,13 +415,9 @@ def run_grad_profile(cfg: RunConfig, out_dir: str, samples: int = 8) -> list[lis
     """Per-sample logit-gradient profiles for CE / KD / MEKD-L1 / MEKD-L2."""
     train, test = load_dataset(cfg)
     seed = cfg.get("run", "seed")
-    teacher = _load_role(cfg, "teacher", train.n, train.num_classes,
-                         os.path.join(out_dir, "teacher.ckpt"))
-    teacher.freeze()
+    teacher = _load_role(cfg, "teacher", train, os.path.join(out_dir, "teacher.ckpt"))
     blind = BlindTeacher.from_network(teacher)
-    G = _load_role(cfg, "generator", train.n, train.num_classes,
-                   os.path.join(out_dir, "generator.ckpt"))
-    G.freeze()
+    G = _load_role(cfg, "generator", train, os.path.join(out_dir, "generator.ckpt"))
     student_path = os.path.join(out_dir, "student_mekd.ckpt")
     student = build_role(cfg, "student", train.n, train.num_classes)
     if os.path.exists(student_path):
@@ -451,7 +442,7 @@ def run_grad_profile(cfg: RunConfig, out_dir: str, samples: int = 8) -> list[lis
             return dist * alpha + kld_loss(p_t, ad.softmax(logits), tau=1.0) * beta
 
         evaluators = [
-            ("ce", lambda lg: supervised_ce_loss(lg, k)),
+            ("ce", lambda lg: cross_entropy(ad.softmax(lg), [k])),
             ("kd", kd_loss),
             ("mekd-l1", lambda lg: mekd_loss(lg, 1)),
             ("mekd-l2", lambda lg: mekd_loss(lg, 2)),

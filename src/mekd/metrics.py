@@ -1,4 +1,4 @@
-"""Evaluation metrics: accuracy, Fréchet distance, logit-gradient profiles.
+"""Evaluation metrics: accuracy, Fréchet distance, cross-entropy, logit-gradient profiles.
 
 The Fréchet distance is computed in raw input space (no embedding
 network): fit a Gaussian (mean, covariance) to each sample set and
@@ -18,6 +18,7 @@ from .data import Dataset
 from .nets import Network
 
 _EVAL_CHUNK = 2048
+PROB_FLOOR = 1e-12  # probabilities are clipped here before any log
 
 
 def accuracy(net: Network, ds: Dataset) -> float:
@@ -99,17 +100,15 @@ def frechet_distance(set_a: np.ndarray, set_b: np.ndarray) -> float:
     return max(value, 0.0)
 
 
-# -- logit-gradient profiles ----------------------------------------------
+# -- cross-entropy and logit-gradient profiles ----------------------------
 
 
-def supervised_ce_loss(logits: Tensor, true_class: int) -> Tensor:
-    """Cross-entropy against the one-hot label, for gradient profiling."""
-    num_classes = logits.data.shape[1]
-    onehot = np.zeros((logits.data.shape[0], num_classes))
-    onehot[:, true_class] = 1.0
-    probs = ad.softmax(logits)
+def cross_entropy(probs: Tensor, labels) -> Tensor:
+    """Batch-mean -log probs[row, label], probabilities floored at PROB_FLOOR."""
+    onehot = np.zeros(probs.data.shape)
+    onehot[np.arange(len(onehot)), labels] = 1.0
     picked = (probs * ad.constant(onehot)).sum(axis=1)
-    return -ad.log(picked).mean()
+    return -ad.log(ad.clip(picked, PROB_FLOOR, 1.0)).mean()
 
 
 def record_logit_gradients(student: Network, loss_fn, sample: np.ndarray,

@@ -18,7 +18,26 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 ROLES = ("classifier", "generator", "discriminator")
-HIDDEN_ACTIVATIONS = ("relu", "leaky_relu", "tanh", "sigmoid")
+LEAKY_SLOPE = 0.2
+
+_HIDDEN = {
+    "relu": ad.relu,
+    "leaky_relu": lambda t: ad.leaky_relu(t, LEAKY_SLOPE),
+    "tanh": ad.tanh,
+    "sigmoid": ad.sigmoid,
+}
+
+# d activation / d pre-activation as a graph node, from (pre-activation a,
+# activation h): piecewise-linear activations give constant masks, smooth
+# ones are expressed through h and so stay differentiable.
+HIDDEN_DERIVATIVE = {
+    "relu": lambda a, h: ad.constant((a.data > 0).astype(float)),
+    "leaky_relu": lambda a, h: ad.constant(np.where(a.data > 0, 1.0, LEAKY_SLOPE)),
+    "tanh": lambda a, h: 1.0 - ad.square(h),
+    "sigmoid": lambda a, h: h * (1.0 - h),
+}
+
+HIDDEN_ACTIVATIONS = tuple(_HIDDEN)
 
 
 class DimensionContractError(ValueError):
@@ -70,14 +89,6 @@ def discriminator_spec(n: int) -> NetworkSpec:
     return NetworkSpec("discriminator", n, (128, 64), 1, activation="leaky_relu")
 
 
-_HIDDEN = {
-    "relu": ad.relu,
-    "leaky_relu": lambda t: ad.leaky_relu(t, 0.2),
-    "tanh": ad.tanh,
-    "sigmoid": ad.sigmoid,
-}
-
-
 class Network:
     """A fully-connected network with a role-specific output head."""
 
@@ -120,8 +131,12 @@ class Network:
 
     # -- forward passes ---------------------------------------------------
 
-    def _pre_head(self, x) -> tuple[Tensor, bool]:
-        """Run all layers; final layer stays linear. Returns (out, was_1d)."""
+    def _pre_head(self, x) -> tuple[Tensor, bool, list[tuple[Tensor, Tensor]]]:
+        """Run all layers; final layer stays linear.
+
+        Returns (out, was_1d, hidden), hidden holding each hidden layer's
+        (pre-activation, activation) pair.
+        """
         t = x if isinstance(x, Tensor) else ad.constant(x)
         was_1d = t.data.ndim == 1
         if was_1d:
@@ -131,19 +146,21 @@ class Network:
                 f"{self.spec.role} expects inputs of width {self.spec.input_dim}, "
                 f"got shape {t.data.shape}")
         act = _HIDDEN[self.spec.activation]
-        for i, (w, b) in enumerate(self.layers):
-            t = ad.matmul(t, w) + b
-            if i < len(self.layers) - 1:
-                t = act(t)
-        return t, was_1d
+        hidden = []
+        for w, b in self.layers[:-1]:
+            a = ad.matmul(t, w) + b
+            t = act(a)
+            hidden.append((a, t))
+        w, b = self.layers[-1]
+        return ad.matmul(t, w) + b, was_1d, hidden
 
     def logits(self, x) -> Tensor:
         """Pre-head output: classifier logits / discriminator score."""
-        out, was_1d = self._pre_head(x)
+        out, was_1d, _ = self._pre_head(x)
         return ad.reshape(out, (-1,)) if was_1d else out
 
     def __call__(self, x) -> Tensor:
-        out, was_1d = self._pre_head(x)
+        out, was_1d, _ = self._pre_head(x)
         if self.spec.role == "classifier":
             out = ad.softmax(out)
         elif self.spec.role == "discriminator":

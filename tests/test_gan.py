@@ -393,7 +393,7 @@ def test_train_gan_k_groups_batches():
 def test_train_gan_divergence_reports_epoch():
     ds, G, D, _, prior = _tiny_setup()
     cfg = GanConfig(m=8, epochs=50, variant="wgan-gp", lr_G=1e12, lr_D=1e12,
-                    momentum=0.0)
+                    momentum=0.0, clip_norm=0.0)
     with pytest.raises(TrainingDiverged, match="epoch"):
         train_gan(G, D, ds, cfg, prior, seed=0)
 

@@ -1,13 +1,17 @@
+import dataclasses
 import os
 import shutil
 
 import numpy as np
 import pytest
 
+from mekd import gan as gan_module
 from mekd import harness
 from mekd.checkpoint import load as load_ckpt
 from mekd.cli import main
 from mekd.config import ConfigError, RunConfig
+from mekd.gan import NoisePrior
+from mekd.optim import TrainingDiverged
 
 TINY_INI = """\
 [run]
@@ -70,6 +74,22 @@ def test_write_csv_formats_and_is_atomic(tmp_path):
     text = path.read_text()
     assert text == "a,b,c\n1,0.5,\nx,2.0,3\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    plain = tmp_path / "plain.txt"
+    plain.write_text("")
+    assert path.stat().st_mode == plain.stat().st_mode  # not mkstemp's 0600
+
+
+def test_write_csv_failure_leaves_old_file_and_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    harness.write_csv(path, ["a"], [[1]])
+
+    def fail(src, dst):
+        raise OSError("disk full")
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        harness.write_csv(path, ["a"], [[2]])
+    assert path.read_text() == "a\n1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_append_results_row_accumulates(tmp_path):
@@ -126,9 +146,16 @@ def test_splits_same_and_disjoint(tiny_cfg):
 
     cfg = tiny_cfg.replace("data", "split", "disjoint")
     gan_ds, distill_ds = harness.gan_and_distill_splits(cfg, train)
-    assert len(gan_ds) == len(distill_ds) == len(train) // 2
-    joined = np.vstack([gan_ds.samples, distill_ds.samples])
-    assert np.array_equal(joined, train.samples)
+    rows = {row.tobytes() for row in train.samples}
+    gan_rows = {row.tobytes() for row in gan_ds.samples}
+    distill_rows = {row.tobytes() for row in distill_ds.samples}
+    assert len(gan_ds) + len(distill_ds) == len(train)
+    assert not gan_rows & distill_rows
+    assert gan_rows | distill_rows == rows
+    classes = set(range(train.num_classes))
+    assert set(gan_ds.labels) == set(distill_ds.labels) == classes
+    again, _ = harness.gan_and_distill_splits(cfg, train)
+    assert np.array_equal(again.samples, gan_ds.samples)
 
     with pytest.raises(ConfigError):
         harness.gan_and_distill_splits(tiny_cfg.replace("data", "split", "thirds"), train)
@@ -163,12 +190,26 @@ def test_build_role_deterministic_and_distinct(tiny_cfg):
     assert any(not np.array_equal(a[k], other.state_dict()[k]) for k in a)
 
 
-def test_gan_config_mapping(tiny_cfg):
-    gcfg = harness.gan_config(tiny_cfg)
+def test_gan_config_mapping(tiny_cfg, monkeypatch):
+    gcfg = tiny_cfg.build("gan")
     assert gcfg.m == 20 and gcfg.epochs == 6 and gcfg.variant == "wgan-gp"
+    assert gcfg.milestones == () and gcfg.snapshot_epochs == (1, 4)
     assert gcfg.clip_norm == 5.0
-    disabled = harness.gan_config(tiny_cfg.replace("gan", "clip_norm", 0.0))
-    assert disabled.clip_norm is None
+    disabled = tiny_cfg.replace("gan", "clip_norm", 0.0).build("gan")
+    assert disabled.clip_norm == 0.0
+    train, _ = harness.load_dataset(tiny_cfg)
+    G = harness.build_role(tiny_cfg, "generator", train.n, train.num_classes)
+    D = harness.build_role(tiny_cfg, "discriminator", train.n, train.num_classes)
+    seen = []
+    real_sgd = gan_module.SGD
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["clip_norm"])
+        return real_sgd(*args, **kwargs)
+    monkeypatch.setattr(gan_module, "SGD", spy)
+    gan_module.train_gan(G, D, train, dataclasses.replace(disabled, epochs=0),
+                         NoisePrior("gaussian", train.num_classes), seed=0)
+    assert seen == [None, None]  # 0 means no clipping
 
 
 def test_distill_config_mapping_and_methods(tiny_cfg):
@@ -192,6 +233,14 @@ def test_run_train_teacher_outputs(tiny_cfg, tmp_path):
     log_lines = open(os.path.join(out, "teacher_log.csv")).read().splitlines()
     assert log_lines[0] == "epoch,loss,train_acc,test_acc,lr"
     assert len(log_lines) == 1 + 8
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_teacher_divergence_reports_epoch_and_step(tiny_cfg):
+    cfg = tiny_cfg.replace("teacher", "lr", 1e200)
+    train, test = harness.load_dataset(cfg)
+    with pytest.raises(TrainingDiverged, match=r"teacher training at epoch \d+ step \d+"):
+        harness.train_teacher(cfg, train, test)
 
 
 def test_run_train_teacher_deterministic(tiny_cfg, tmp_path):
@@ -225,6 +274,34 @@ def test_run_train_gan_outputs(tiny_cfg, tmp_path):
     summary_lines = open(os.path.join(out, "gan_summary.csv")).read().splitlines()
     assert summary_lines[0] == "gen_fid,epochs,config_hash"
     assert summary_lines[1].endswith(tiny_cfg.hash())
+
+
+def test_generator_fid_reference_covers_every_class(tiny_cfg, monkeypatch):
+    # blobs are sorted by class: the first 2000 of 4000 rows are classes {0, 1}
+    cfg = tiny_cfg.replace("data", "num_classes", 4).replace("data", "per_class", 1000)
+    train, _ = harness.load_dataset(cfg)
+    label_of = dict(zip((row.tobytes() for row in train.samples), train.labels))
+    seen = []
+
+    def capture(fake, real):
+        seen.append(real)
+        return 0.0
+    monkeypatch.setattr(harness, "frechet_distance", capture)
+    G = harness.build_role(cfg, "generator", train.n, train.num_classes)
+    harness.generator_fid(cfg, G, train)
+    (reference,) = seen
+    counts = np.bincount([label_of[row.tobytes()] for row in reference], minlength=4)
+    assert np.all(counts > 400)
+    assert len(reference) == harness.FID_ROWS == 2000
+
+
+def test_generator_fid_small_set_uses_every_row(tiny_cfg, monkeypatch):
+    train, _ = harness.load_dataset(tiny_cfg)
+    seen = []
+    monkeypatch.setattr(harness, "frechet_distance", lambda fake, real: seen.append(real))
+    G = harness.build_role(tiny_cfg, "generator", train.n, train.num_classes)
+    harness.generator_fid(tiny_cfg, G, train)
+    assert np.array_equal(seen[0], train.samples)
 
 
 def test_run_distill_requires_teacher_checkpoint(tiny_cfg, tmp_path):

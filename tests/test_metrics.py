@@ -8,10 +8,10 @@ from mekd.distill import kld_loss
 from mekd.metrics import (
     FrechetStats,
     accuracy,
+    cross_entropy,
     frechet_distance,
     matrix_sqrt_psd,
     record_logit_gradients,
-    supervised_ce_loss,
 )
 from mekd.nets import NetworkSpec, build_network, generator_spec, student_spec
 
@@ -208,11 +208,15 @@ def test_frechet_separated_gaussians_closed_form():
 # -- logit-gradient profiles ---------------------------------------------------
 
 
+def _ce(logits, true_class):
+    return cross_entropy(ad.softmax(logits), [true_class])
+
+
 def test_ce_gradient_is_probs_minus_onehot():
     net = build_network(student_spec(6, 4), 4, seed=12)
     x = np.random.default_rng(13).uniform(size=6)
     for true_class in range(4):
-        got = record_logit_gradients(net, lambda z: supervised_ce_loss(z, true_class),
+        got = record_logit_gradients(net, lambda z: _ce(z, true_class),
                                      x, true_class)
         probs = net.classify(x.reshape(1, -1)).data[0]
         onehot = np.eye(4)[true_class]
@@ -226,7 +230,7 @@ def test_ce_gradient_matches_finite_differences():
     net = build_network(student_spec(5, 3), 3, seed=14)
     x = np.random.default_rng(15).uniform(size=5)
     true_class = 1
-    got = record_logit_gradients(net, lambda z: supervised_ce_loss(z, true_class),
+    got = record_logit_gradients(net, lambda z: _ce(z, true_class),
                                  x, true_class)
     # numeric gradient w.r.t. the logits themselves
     logits = net.logits(x.reshape(1, -1)).data[0].copy()
@@ -253,7 +257,7 @@ def test_ce_gradient_near_zero_at_minimum():
     for p in net.params.values():
         p.requires_grad = True
     net.params["layers.0.bias"].data = np.array([0.0, 50.0, 0.0])  # ~one-hot on class 1
-    got = record_logit_gradients(net, lambda z: supervised_ce_loss(z, 1),
+    got = record_logit_gradients(net, lambda z: _ce(z, 1),
                                  np.zeros(4), 1)
     assert np.all(np.abs(got) < 1e-9)
 
@@ -274,10 +278,16 @@ def test_gradient_profile_is_permutation():
 def test_gradient_profile_class_range_checked():
     net = build_network(student_spec(4, 3), 3, seed=18)
     with pytest.raises(ValueError):
-        record_logit_gradients(net, lambda z: supervised_ce_loss(z, 0), np.zeros(4), 3)
+        record_logit_gradients(net, lambda z: _ce(z, 0), np.zeros(4), 3)
 
 
 def test_gradient_profile_rejects_frozen_student():
     net = build_network(student_spec(4, 3), 3, seed=19).freeze()
     with pytest.raises(ValueError, match="frozen"):
-        record_logit_gradients(net, lambda z: supervised_ce_loss(z, 0), np.zeros(4), 0)
+        record_logit_gradients(net, lambda z: _ce(z, 0), np.zeros(4), 0)
+
+
+def test_cross_entropy_floors_probabilities():
+    probs = ad.constant(np.array([[0.25, 0.75], [1.0, 0.0]]))
+    loss = cross_entropy(probs, [1, 1])
+    assert loss.item() == pytest.approx((-np.log(0.75) - np.log(1e-12)) / 2)
