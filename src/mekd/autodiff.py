@@ -1,11 +1,18 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Every operation records its parents and a backward closure; calling
-``backward()`` on a scalar loss walks the graph in reverse topological
-order and accumulates gradients into every tensor on a differentiable
-path.  Parents are stored as tuples (never sets) so traversal order,
-and therefore floating-point accumulation order, is identical across
-runs: same seed, same bits.
+Every operation records its parents and, for each parent, a gradient
+function that maps the output's gradient to that parent's gradient.
+Calling ``backward()`` on a scalar loss walks the graph in reverse
+topological order and is the one place that decides which parent gets a
+gradient: each parent that requires one accumulates ``grad(node.grad)``.
+Parents are stored as tuples (never sets) so traversal order, and
+therefore floating-point accumulation order, is identical across runs:
+same seed, same bits.
+
+Gradient functions capture the forward arrays they need (inputs, masks,
+the output's values), never the output tensor itself.  A function held
+by the output that refers back to the output would make every graph a
+reference cycle, freed only by the cyclic garbage collector.
 
 Values are checked for NaN/Inf as they are produced; a non-finite
 result raises :class:`NonFiniteError` naming the operation instead of
@@ -52,7 +59,7 @@ def _as_array(data, dtype=None) -> np.ndarray:
 class Tensor:
     """An n-dimensional float array with an optional gradient slot."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd", "op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grads", "op")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _as_array(data, dtype)
@@ -61,7 +68,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
-        self._bwd = None
+        self._grads: tuple = ()
         self.op = "leaf"
 
     @property
@@ -90,8 +97,9 @@ class Tensor:
         order = _topo_order(self)
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._bwd is not None:
-                node._bwd()
+            for parent, grad in zip(node._parents, node._grads):
+                if parent.requires_grad:
+                    parent._accumulate(grad(node.grad))
 
     # -- operator sugar -------------------------------------------------
 
@@ -157,22 +165,21 @@ def _wrap(x, dtype=None) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
 
 
-def _result(data: np.ndarray, parents: tuple[Tensor, ...], op: str, bwd) -> Tensor:
+def _result(data: np.ndarray, parents: tuple[Tensor, ...], op: str, grads: tuple) -> Tensor:
+    """The output node of ``op``; ``grads[i]`` maps its gradient to ``parents[i]``'s."""
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out.op = op
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._bwd = bwd(out)
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._bwd = None
+    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+    out._parents, out._grads = (parents, grads) if out.requires_grad else ((), ())
     return out
+
+
+def _same(g: np.ndarray) -> np.ndarray:
+    return g
 
 
 # -- arithmetic ---------------------------------------------------------
@@ -182,123 +189,61 @@ def add(a: Tensor, b) -> Tensor:
     """Elementwise add; supports same shapes, a trailing bias vector, or a scalar."""
     if isinstance(b, (int, float)):
         a = _wrap(a)
-        data = a.data + b
-
-        def bwd(out):
-            def _b():
-                if a.requires_grad:
-                    a._accumulate(out.grad)
-            return _b
-
-        return _result(data, (a,), "add", bwd)
+        return _result(a.data + b, (a,), "add", (_same,))
 
     a, b = _wrap(a), _wrap(b)
     if a.shape != b.shape and not (a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]):
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
     data = a.data + b.data
-
-    def bwd(out):
-        def _b():
-            if a.requires_grad:
-                a._accumulate(out.grad)
-            if b.requires_grad:
-                g = out.grad
-                if b.shape != out.shape:
-                    g = g.sum(axis=0)
-                b._accumulate(g)
-        return _b
-
-    return _result(data, (a, b), "add", bwd)
+    b_grad = _same if b.shape == data.shape else (lambda g: g.sum(axis=0))
+    return _result(data, (a, b), "add", (_same, b_grad))
 
 
 def mul(a: Tensor, b) -> Tensor:
     """Elementwise multiply by a same-shape tensor or a python scalar."""
     a = _wrap(a)
     if isinstance(b, (int, float)):
-        data = a.data * b
-
-        def bwd(out):
-            def _b():
-                if a.requires_grad:
-                    a._accumulate(out.grad * b)
-            return _b
-
-        return _result(data, (a,), "mul", bwd)
+        return _result(a.data * b, (a,), "mul", (lambda g: g * b,))
 
     b = _wrap(b)
     if a.shape != b.shape:
         raise ValueError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    data = a.data * b.data
-
-    def bwd(out):
-        def _b():
-            if a.requires_grad:
-                a._accumulate(out.grad * b.data)
-            if b.requires_grad:
-                b._accumulate(out.grad * a.data)
-        return _b
-
-    return _result(data, (a, b), "mul", bwd)
+    return _result(a.data * b.data, (a, b), "mul",
+                   (lambda g: g * b.data, lambda g: g * a.data))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} vs {b.shape}")
-    data = a.data @ b.data
-
-    def bwd(out):
-        def _b():
-            if a.requires_grad:
-                a._accumulate(out.grad @ b.data.T)
-            if b.requires_grad:
-                b._accumulate(a.data.T @ out.grad)
-        return _b
-
-    return _result(data, (a, b), "matmul", bwd)
+    return _result(a.data @ b.data, (a, b), "matmul",
+                   (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
 def transpose(a: Tensor) -> Tensor:
     a = _wrap(a)
-
-    def bwd(out):
-        def _b():
-            if a.requires_grad:
-                a._accumulate(out.grad.T)
-        return _b
-
-    return _result(a.data.T.copy(), (a,), "transpose", bwd)
+    return _result(a.data.T.copy(), (a,), "transpose", (lambda g: g.T,))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     a = _wrap(a)
-    data = a.data.reshape(shape).copy()
+    return _result(a.data.reshape(shape).copy(), (a,), "reshape",
+                   (lambda g: g.reshape(a.shape),))
 
-    def bwd(out):
-        def _b():
-            if a.requires_grad:
-                a._accumulate(out.grad.reshape(a.shape))
-        return _b
 
-    return _result(data, (a,), "reshape", bwd)
+def _slice_of(ndim: int, axis: int, lo, hi):
+    idx = [slice(None)] * ndim
+    idx[axis] = slice(lo, hi)
+    idx = tuple(idx)
+    return lambda g: g[idx]
 
 
 def concat(parts: list[Tensor], axis: int = 1) -> Tensor:
     parts = [_wrap(p) for p in parts]
     data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(out):
-        def _b():
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                if p.requires_grad:
-                    idx = [slice(None)] * out.grad.ndim
-                    idx[axis] = slice(lo, hi)
-                    p._accumulate(out.grad[tuple(idx)])
-        return _b
-
-    return _result(data, tuple(parts), "concat", bwd)
+    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
+    grads = tuple(_slice_of(data.ndim, axis, lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:]))
+    return _result(data, tuple(parts), "concat", grads)
 
 
 # -- elementwise nonlinearities ------------------------------------------
@@ -307,40 +252,19 @@ def concat(parts: list[Tensor], axis: int = 1) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     a = _wrap(a)
     mask = a.data > 0
-
-    def bwd(out):
-        def _b():
-            if a.requires_grad:
-                a._accumulate(out.grad * mask)
-        return _b
-
-    return _result(np.where(mask, a.data, 0.0), (a,), "relu", bwd)
+    return _result(np.where(mask, a.data, 0.0), (a,), "relu", (lambda g: g * mask,))
 
 
 def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
     a = _wrap(a)
     slope = np.where(a.data > 0, 1.0, alpha)
-
-    def bwd(out):
-        def _b():
-            if a.requires_grad:
-                a._accumulate(out.grad * slope)
-        return _b
-
-    return _result(a.data * slope, (a,), "leaky_relu", bwd)
+    return _result(a.data * slope, (a,), "leaky_relu", (lambda g: g * slope,))
 
 
 def tanh(a: Tensor) -> Tensor:
     a = _wrap(a)
     data = np.tanh(a.data)
-
-    def bwd(out):
-        def _b():
-            if a.requires_grad:
-                a._accumulate(out.grad * (1.0 - out.data * out.data))
-        return _b
-
-    return _result(data, (a,), "tanh", bwd)
+    return _result(data, (a,), "tanh", (lambda g: g * (1.0 - data * data),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -351,14 +275,7 @@ def sigmoid(a: Tensor) -> Tensor:
     data[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
     e = np.exp(a.data[~pos])
     data[~pos] = e / (1.0 + e)
-
-    def bwd(out):
-        def _b():
-            if a.requires_grad:
-                a._accumulate(out.grad * out.data * (1.0 - out.data))
-        return _b
-
-    return _result(data, (a,), "sigmoid", bwd)
+    return _result(data, (a,), "sigmoid", (lambda g: g * data * (1.0 - data),))
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -369,15 +286,8 @@ def softmax(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=1, keepdims=True)
-
-    def bwd(out):
-        def _b():
-            if a.requires_grad:
-                y, g = out.data, out.grad
-                a._accumulate(y * (g - (g * y).sum(axis=1, keepdims=True)))
-        return _b
-
-    return _result(data, (a,), "softmax", bwd)
+    return _result(data, (a,), "softmax",
+                   (lambda g: data * (g - (g * data).sum(axis=1, keepdims=True)),))
 
 
 def log(a: Tensor) -> Tensor:
@@ -387,116 +297,64 @@ def log(a: Tensor) -> Tensor:
             data = np.log(a.data)
         except FloatingPointError:
             raise NonFiniteError("log") from None
-
-    def bwd(out):
-        def _b():
-            if a.requires_grad:
-                a._accumulate(out.grad / a.data)
-        return _b
-
-    return _result(data, (a,), "log", bwd)
+    return _result(data, (a,), "log", (lambda g: g / a.data,))
 
 
 def exp(a: Tensor) -> Tensor:
     a = _wrap(a)
     with np.errstate(over="ignore"):  # overflow becomes inf; _result rejects it
         data = np.exp(a.data)
-
-    def bwd(out):
-        def _b():
-            if a.requires_grad:
-                a._accumulate(out.grad * out.data)
-        return _b
-
-    return _result(data, (a,), "exp", bwd)
+    return _result(data, (a,), "exp", (lambda g: g * data,))
 
 
 def sqrt(a: Tensor) -> Tensor:
     """Square root with subgradient 0 at exactly 0."""
     a = _wrap(a)
     data = np.sqrt(a.data)
-
-    def bwd(out):
-        def _b():
-            if a.requires_grad:
-                g = np.where(out.data > 0, 0.5 / np.where(out.data > 0, out.data, 1.0), 0.0)
-                a._accumulate(out.grad * g)
-        return _b
-
-    return _result(data, (a,), "sqrt", bwd)
+    return _result(data, (a,), "sqrt",
+                   (lambda g: g * np.where(data > 0, 0.5 / np.where(data > 0, data, 1.0), 0.0),))
 
 
 def square(a: Tensor) -> Tensor:
     a = _wrap(a)
-
-    def bwd(out):
-        def _b():
-            if a.requires_grad:
-                a._accumulate(out.grad * 2.0 * a.data)
-        return _b
-
-    return _result(a.data * a.data, (a,), "square", bwd)
+    return _result(a.data * a.data, (a,), "square", (lambda g: g * 2.0 * a.data,))
 
 
 def absolute(a: Tensor) -> Tensor:
     a = _wrap(a)
     sign = np.sign(a.data)
-
-    def bwd(out):
-        def _b():
-            if a.requires_grad:
-                a._accumulate(out.grad * sign)
-        return _b
-
-    return _result(np.abs(a.data), (a,), "abs", bwd)
+    return _result(np.abs(a.data), (a,), "abs", (lambda g: g * sign,))
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; gradient passes only through unclipped entries."""
     a = _wrap(a)
     mask = (a.data >= lo) & (a.data <= hi)
-
-    def bwd(out):
-        def _b():
-            if a.requires_grad:
-                a._accumulate(out.grad * mask)
-        return _b
-
-    return _result(np.clip(a.data, lo, hi), (a,), "clip", bwd)
+    return _result(np.clip(a.data, lo, hi), (a,), "clip", (lambda g: g * mask,))
 
 
 # -- reductions ----------------------------------------------------------
+
+
+def _unreduce(g: np.ndarray, axis, keepdims: bool) -> np.ndarray:
+    """The reduced gradient with the reduced axis put back (size 1)."""
+    return np.expand_dims(g, axis) if axis is not None and not keepdims else g
 
 
 def reduce_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     a = _wrap(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def bwd(out):
-        def _b():
-            if a.requires_grad:
-                g = out.grad
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                a._accumulate(np.broadcast_to(g, a.shape).copy() if g.shape != a.shape else g)
-        return _b
+    def grad(g):
+        g = _unreduce(g, axis, keepdims)
+        return np.broadcast_to(g, a.shape).copy() if g.shape != a.shape else g
 
-    return _result(np.asarray(data), (a,), "sum", bwd)
+    return _result(np.asarray(data), (a,), "sum", (grad,))
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     a = _wrap(a)
     data = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size if axis is None else a.shape[axis]
-
-    def bwd(out):
-        def _b():
-            if a.requires_grad:
-                g = out.grad
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                g = np.broadcast_to(g, a.shape) / count
-                a._accumulate(g)
-        return _b
-
-    return _result(np.asarray(data), (a,), "mean", bwd)
+    return _result(np.asarray(data), (a,), "mean",
+                   (lambda g: np.broadcast_to(_unreduce(g, axis, keepdims), a.shape) / count,))

@@ -27,12 +27,18 @@ from .optim import SGD, TrainingDiverged, multistep_lr
 GEN_INPUTS = ("probs", "logits")
 
 
+class TeacherAnswerError(ValueError):
+    """The teacher's function answered with something other than probability rows."""
+
+
 class BlindTeacher:
     """Query-only access to a teacher: x in, probability vector out.
 
     query_count counts sample rows actually answered by the underlying
     function; with caching enabled, repeated rows are served from the
-    cache and do not increment it.
+    cache and do not increment it.  Every answer is checked to be one
+    finite, non-negative row summing to 1 per query row; a malformed
+    answer raises TeacherAnswerError and none of its rows is cached.
     """
 
     def __init__(self, classify_fn, num_classes: int, cache: bool = True):
@@ -55,20 +61,31 @@ class BlindTeacher:
 
         return cls(classify_fn, net.spec.output_dim, cache=cache)
 
+    def _ask(self, rows: np.ndarray) -> np.ndarray:
+        """The function's answer for rows, counted, then checked."""
+        answer = np.asarray(self._fn(rows), dtype=np.float64)
+        self.query_count += len(rows)
+        if answer.shape != (len(rows), self.num_classes):
+            raise TeacherAnswerError(f"teacher answered shape {answer.shape} for "
+                                     f"{len(rows)} rows of {self.num_classes} classes")
+        if not np.all(np.isfinite(answer)) or np.any(answer < 0):
+            raise TeacherAnswerError("teacher answered non-finite or negative probabilities")
+        if np.any(np.abs(answer.sum(axis=1) - 1.0) > 1e-6):
+            raise TeacherAnswerError("teacher answered rows that do not sum to 1")
+        return answer
+
     def classify(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         rows = x.reshape(1, -1) if single else x
         if self._cache is None:
-            out = np.asarray(self._fn(rows), dtype=np.float64)
-            self.query_count += len(rows)
+            out = self._ask(rows)
         else:
             out = np.empty((len(rows), self.num_classes))
             misses = [i for i, row in enumerate(rows)
                       if row.tobytes() not in self._cache]
             if misses:
-                answered = np.asarray(self._fn(rows[misses]), dtype=np.float64)
-                self.query_count += len(misses)
+                answered = self._ask(rows[misses])
                 for i, probs in zip(misses, answered):
                     self._cache[rows[i].tobytes()] = probs
             self.cache_hits += len(rows) - len(misses)

@@ -1,7 +1,7 @@
 """Central finite-difference gradient checking.
 
 The numeric side only ever evaluates forward passes, so it is an
-independent oracle for the backward closures in :mod:`mekd.autodiff`.
+independent oracle for the gradient functions in :mod:`mekd.autodiff`.
 """
 
 from __future__ import annotations
@@ -97,6 +97,7 @@ def op_suite(seed: int) -> list[tuple[str, Callable[..., Tensor], list[np.ndarra
         ("reshape", lambda X: (ad.reshape(X, (n, m)) * rx.T.copy()).sum(), [x]),
         ("clip", lambda X: (ad.clip(X, -0.5, 0.5) * rx).sum(), [clippy]),
         ("mul", lambda A, B: (A * B).sum(), [x, y2]),
+        ("add_mul", lambda A, B: (((A + B) * 2.0 + 1.0) * rx).sum(), [x, y2]),
     ]
     return cases
 

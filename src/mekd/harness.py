@@ -23,7 +23,7 @@ from . import checkpoint
 from .autodiff import no_grad
 from .config import ConfigError, RunConfig
 from .data import Dataset, augment, batches, parse_idx, synth_blobs
-from .distill import BlindTeacher, DistillConfig, baseline_kd, distill, generation_distance, kld_loss
+from .distill import BlindTeacher, DistillConfig, distill, generation_distance, kld_loss
 from .gan import NoisePrior, sample_noise, train_gan
 from .metrics import accuracy, cross_entropy, frechet_distance, record_logit_gradients
 from .nets import Network, NetworkSpec, build_network
@@ -235,6 +235,10 @@ def run_train_teacher(cfg: RunConfig, out_dir: str) -> dict:
                "teacher_test_acc": rows[-1]["test_acc"] if rows else accuracy(net, test)}
     log.info("teacher: train_acc=%s test_acc=%s", summary["teacher_train_acc"],
              summary["teacher_test_acc"])
+    if summary["teacher_test_acc"] <= 1.0 / train.num_classes:
+        log.warning("teacher test accuracy %s is at or below chance (1/%d); "
+                    "students distilled from it learn nothing",
+                    summary["teacher_test_acc"], train.num_classes)
     return summary
 
 
@@ -322,15 +326,10 @@ def run_distill(cfg: RunConfig, out_dir: str, method: str) -> dict:
     blind = BlindTeacher.from_network(teacher, cache=dcfg.cache_teacher)
     student = build_role(cfg, "student", train.n, train.num_classes)
 
-    if method == "kd":
-        student, d_log = baseline_kd(student, blind, distill_ds, dcfg, seed,
-                                     eval_train=train, eval_test=test)
-    else:
-        G = None
-        if dcfg.alpha > 0:
-            G = _load_role(cfg, "generator", train, os.path.join(out_dir, "generator.ckpt"))
-        student, d_log = distill(student, blind, G, distill_ds, dcfg, seed,
-                                 eval_train=train, eval_test=test)
+    G = (_load_role(cfg, "generator", train, os.path.join(out_dir, "generator.ckpt"))
+         if dcfg.alpha > 0 else None)
+    student, d_log = distill(student, blind, G, distill_ds, dcfg, seed,
+                             eval_train=train, eval_test=test)
 
     checkpoint.save(os.path.join(out_dir, f"student_{method}.ckpt"), student.state_dict())
     write_csv(os.path.join(out_dir, f"distill_{method}_log.csv"),

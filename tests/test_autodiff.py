@@ -1,9 +1,14 @@
+import gc
+
 import numpy as np
 import pytest
 
 from mekd import autodiff as ad
 from mekd.autodiff import NonFiniteError, Tensor, no_grad
+from mekd.distill import BlindTeacher, DistillConfig, student_loss
+from mekd.gan import wgan_discriminator_loss
 from mekd.gradcheck import max_relative_error, numeric_gradient
+from mekd.nets import build_network, discriminator_spec, generator_spec, student_spec
 
 
 def test_identity_forward():
@@ -177,3 +182,26 @@ def test_numeric_gradient_on_known_function():
     x = np.array([[1.0, -2.0]])
     (g,) = numeric_gradient(lambda a: float((a * a).sum()), [x])
     assert np.allclose(g, 2 * x, atol=1e-8)
+
+
+def test_backward_graphs_are_not_reference_cycles():
+    # A gradient function holding its own output tensor would make every
+    # graph a reference cycle that only the cyclic collector frees.
+    D = build_network(discriminator_spec(6), 3, seed=4)
+    G = build_network(generator_spec(3, 6), 3, seed=5).freeze()
+    student = build_network(student_spec(6, 3), 3, seed=6)
+    teacher = BlindTeacher(lambda x: np.full((len(x), 3), 1.0 / 3.0), 3)
+    rng = np.random.default_rng(7)
+    x, z = rng.uniform(size=(5, 6)), rng.standard_normal((5, 3))
+    gc.collect()
+    gc.disable()
+    try:
+        loss, gp = wgan_discriminator_loss(D, G, x, z, gp_lambda=10.0, rng=rng)
+        loss.backward()
+        del loss, gp
+        loss, _ = student_loss(student, teacher, G, x, DistillConfig())
+        loss.backward()
+        del loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

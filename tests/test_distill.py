@@ -9,6 +9,7 @@ from mekd.autodiff import Tensor
 from mekd.distill import (
     BlindTeacher,
     DistillConfig,
+    TeacherAnswerError,
     baseline_kd,
     distill,
     generation_distance,
@@ -75,6 +76,36 @@ def test_blind_teacher_single_row():
     assert out.shape == (3,)
     assert out.sum() == pytest.approx(1.0, abs=1e-12)
     assert t.query_count == 1
+
+
+MALFORMED_ANSWERS = {
+    "missing_row": lambda x: np.full((len(x) - 1, 3), 1.0 / 3.0),
+    "wrong_width": lambda x: np.full((len(x), 2), 0.5),
+    "flat_vector": lambda x: np.full(3 * len(x), 1.0 / 3.0),
+    "nan": lambda x: np.tile([np.nan, 0.5, 0.5], (len(x), 1)),
+    "inf": lambda x: np.tile([np.inf, 0.0, 0.0], (len(x), 1)),
+    "negative": lambda x: np.tile([1.5, -0.5, 0.0], (len(x), 1)),
+    "row_sum_off": lambda x: np.tile([0.5, 0.5, 1e-5], (len(x), 1)),
+}
+
+
+@pytest.mark.parametrize("cache", [True, False])
+@pytest.mark.parametrize("kind", sorted(MALFORMED_ANSWERS))
+def test_blind_teacher_rejects_malformed_answer(kind, cache):
+    answers = [MALFORMED_ANSWERS[kind], lambda x: np.full((len(x), 3), 1.0 / 3.0)]
+    t = BlindTeacher(lambda x: answers[0](x), 3, cache=cache)
+    x = np.random.default_rng(0).uniform(size=(4, 2))
+    with pytest.raises(TeacherAnswerError):
+        t.classify(x)
+    answers.pop(0)
+    assert np.array_equal(t.classify(x), np.full((4, 3), 1.0 / 3.0))
+    assert t.cache_hits == 0  # no row of the rejected answer was cached
+    assert t.query_count == 8
+
+
+def test_blind_teacher_accepts_row_sums_within_tolerance():
+    t = BlindTeacher(lambda x: np.tile([0.5, 0.5, 5e-7], (len(x), 1)), 3)
+    assert t.classify(np.zeros((2, 2))).shape == (2, 3)
 
 
 def test_blind_teacher_exposes_no_network_internals():

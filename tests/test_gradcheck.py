@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -53,11 +56,24 @@ def test_away_from_clears_margin():
     assert out[2] == 0.5  # untouched: already clear of both points
 
 
+def _result_labels() -> set[str]:
+    """Every op label the autodiff module passes to ``_result``."""
+    tree = ast.parse(inspect.getsource(ad))
+    return {node.args[2].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_result"}
+
+
 def test_op_suite_covers_required_ops():
-    names = {name for name, _, _ in op_suite(0)}
-    required = {"linear", "relu", "leaky_relu", "tanh", "sigmoid", "softmax",
-                "log", "sum", "mean", "abs", "square", "concat"}
-    assert required <= names
+    labels = _result_labels()
+    assert {"add", "mul", "matmul", "exp", "sqrt", "clip", "transpose"} <= labels
+    built = set()
+    for _, build, arrays in op_suite(0):
+        stack = [build(*[ad.Tensor(a, requires_grad=True) for a in arrays])]
+        while stack:
+            node = stack.pop()
+            built.add(node.op)
+            stack.extend(node._parents)
+    assert labels <= built, sorted(labels - built)
 
 
 def test_run_op_suite_small_pass():

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import os
 import shutil
 
@@ -233,6 +234,21 @@ def test_run_train_teacher_outputs(tiny_cfg, tmp_path):
     log_lines = open(os.path.join(out, "teacher_log.csv")).read().splitlines()
     assert log_lines[0] == "epoch,loss,train_acc,test_acc,lr"
     assert len(log_lines) == 1 + 8
+
+
+def test_run_train_teacher_warns_at_chance(tiny_cfg, tmp_path, caplog):
+    cfg = tiny_cfg.replace("teacher", "lr", 1e12)
+    with caplog.at_level(logging.WARNING, logger="mekd"):
+        summary = harness.run_train_teacher(cfg, str(tmp_path / "run"))
+    assert summary["teacher_test_acc"] <= 1.0 / 3.0
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and "chance" in warnings[0].getMessage()
+
+
+def test_run_train_teacher_trained_does_not_warn(tiny_cfg, tmp_path, caplog):
+    with caplog.at_level(logging.WARNING, logger="mekd"):
+        harness.run_train_teacher(tiny_cfg, str(tmp_path / "run"))
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
