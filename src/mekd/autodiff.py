@@ -14,6 +14,17 @@ the output's values), never the output tensor itself.  A function held
 by the output that refers back to the output would make every graph a
 reference cycle, freed only by the cyclic garbage collector.
 
+An affine map ``x @ w + b`` is one ``linear`` node rather than a
+``matmul`` node feeding a bias ``add``: the cost of a training step here
+is Python overhead per node, not arithmetic, so every network layer
+records a single node for its affine part.
+
+A parent's first gradient is stored as a new array, never as the array
+the gradient function returned: one gradient array may reach several
+parents (``_same`` hands the same object to both sides of an ``add``),
+and a later ``+=`` into a shared array would corrupt the other parent's
+gradient.
+
 Values are checked for NaN/Inf as they are produced; a non-finite
 result raises :class:`NonFiniteError` naming the operation instead of
 propagating silently.
@@ -63,7 +74,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _as_array(data, dtype)
-        if not np.all(np.isfinite(self.data)):
+        if not np.isfinite(self.data).all():
             raise NonFiniteError("leaf")
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
@@ -87,8 +98,11 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # Bit-identical to zeros_like(data) + g (-0.0 becomes +0.0) in
+            # one pass, in data's dtype and shape, and never an alias of g.
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Populate ``grad`` for every tensor reachable from this scalar."""
@@ -167,7 +181,7 @@ def _wrap(x, dtype=None) -> Tensor:
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], op: str, grads: tuple) -> Tensor:
     """The output node of ``op``; ``grads[i]`` maps its gradient to ``parents[i]``'s."""
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError(op)
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -186,17 +200,15 @@ def _same(g: np.ndarray) -> np.ndarray:
 
 
 def add(a: Tensor, b) -> Tensor:
-    """Elementwise add; supports same shapes, a trailing bias vector, or a scalar."""
+    """Elementwise add of a same-shape tensor or a python scalar."""
     if isinstance(b, (int, float)):
         a = _wrap(a)
         return _result(a.data + b, (a,), "add", (_same,))
 
     a, b = _wrap(a), _wrap(b)
-    if a.shape != b.shape and not (a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]):
+    if a.shape != b.shape:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    data = a.data + b.data
-    b_grad = _same if b.shape == data.shape else (lambda g: g.sum(axis=0))
-    return _result(data, (a, b), "add", (_same, b_grad))
+    return _result(a.data + b.data, (a, b), "add", (_same, _same))
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -218,6 +230,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul shape mismatch: {a.shape} vs {b.shape}")
     return _result(a.data @ b.data, (a, b), "matmul",
                    (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node: an (m, n) batch, (n, k) weights, a (k,) bias."""
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
+            or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
+        raise ValueError(f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
+    return _result(x.data @ w.data + b.data, (x, w, b), "linear",
+                   (lambda g: g @ w.data.T, lambda g: x.data.T @ g, lambda g: g.sum(axis=0)))
 
 
 def transpose(a: Tensor) -> Tensor:

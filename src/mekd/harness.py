@@ -12,6 +12,7 @@ config's out_dir:
 
 from __future__ import annotations
 
+import fcntl
 import logging
 import os
 import re
@@ -64,13 +65,20 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
 
 
 def append_results_row(path, header: list[str], row: list) -> None:
-    rows = []
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        rows = [line.split(",") for line in lines[1:] if line]
-    rows.append([_fmt(v) for v in row])
-    write_csv(path, header, rows)
+    """Append one row under an exclusive lock, so concurrent runs lose none.
+
+    The header is written only into an empty file; a file whose first line
+    is another header raises ``ValueError`` rather than mixing columns.
+    """
+    head = ",".join(header) + "\n"
+    line = ",".join(_fmt(v) for v in row) + "\n"
+    with open(path, "a+", encoding="utf-8") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)  # released when the file closes
+        fh.seek(0)
+        first = fh.readline()
+        if first and first != head:
+            raise ValueError(f"{path}: header {first.rstrip()!r} is not {head.rstrip()!r}")
+        fh.write(line if first else head + line)
 
 
 # -- datasets ---------------------------------------------------------------

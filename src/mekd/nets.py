@@ -148,11 +148,11 @@ class Network:
         act = _HIDDEN[self.spec.activation]
         hidden = []
         for w, b in self.layers[:-1]:
-            a = ad.matmul(t, w) + b
+            a = ad.linear(t, w, b)
             t = act(a)
             hidden.append((a, t))
         w, b = self.layers[-1]
-        return ad.matmul(t, w) + b, was_1d, hidden
+        return ad.linear(t, w, b), was_1d, hidden
 
     def logits(self, x) -> Tensor:
         """Pre-head output: classifier logits / discriminator score."""

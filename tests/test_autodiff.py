@@ -20,7 +20,7 @@ def test_linear_identity_weights():
     w = Tensor(np.eye(2))
     b = Tensor(np.zeros(2))
     x = Tensor([[3.0, 4.0]])
-    out = ad.matmul(x, w) + b
+    out = ad.linear(x, w, b)
     assert np.array_equal(out.data, [[3.0, 4.0]])
 
 
@@ -28,7 +28,7 @@ def test_softmax_of_zero_linear_is_uniform():
     w = Tensor(np.zeros((2, 2)))
     b = Tensor(np.zeros(2))
     x = Tensor([[0.7, -1.3]])
-    out = ad.softmax(ad.matmul(x, w) + b)
+    out = ad.softmax(ad.linear(x, w, b))
     assert np.allclose(out.data, [[0.5, 0.5]], atol=1e-15)
 
 
@@ -101,12 +101,50 @@ def test_matmul_shape_mismatch():
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
-def test_add_bias_broadcast_backward():
-    x = Tensor(np.ones((4, 3)), requires_grad=True)
-    b = Tensor(np.zeros(3), requires_grad=True)
-    (x + b).sum().backward()
-    assert np.array_equal(b.grad, [4.0, 4.0, 4.0])
-    assert np.array_equal(x.grad, np.ones((4, 3)))
+def test_linear_backward():
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    b = Tensor(np.zeros(2), requires_grad=True)
+    probe = rng.standard_normal((4, 2))
+    (ad.linear(x, w, b) * probe).sum().backward()
+    assert np.array_equal(b.grad, probe.sum(axis=0))
+    assert np.array_equal(x.grad, probe @ w.data.T)
+    assert np.array_equal(w.grad, x.data.T @ probe)
+
+
+@pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+    ((2, 3), (2, 3), (3,)),     # inner widths differ
+    ((2, 3), (3, 4), (3,)),     # bias width is not the output width
+    ((2, 3), (3, 4), (2, 4)),   # bias is not a vector
+    ((3,), (3, 4), (4,)),       # input is not a batch
+    ((2, 3), (3,), (1,)),       # weights are not a matrix
+])
+def test_linear_shape_mismatch(x_shape, w_shape, b_shape):
+    with pytest.raises(ValueError, match="linear shape mismatch"):
+        ad.linear(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)), Tensor(np.ones(b_shape)))
+
+
+def test_add_rejects_broadcast():
+    with pytest.raises(ValueError, match="add shape mismatch"):
+        ad.add(Tensor(np.ones((4, 3))), Tensor(np.zeros(3)))
+
+
+def test_first_gradient_is_not_an_alias():
+    # add hands one gradient array to both parents; storing it by
+    # reference would let a's second contribution leak into b.grad.
+    a = Tensor(np.zeros((2, 3)), requires_grad=True)
+    b = Tensor(np.zeros((2, 3)), requires_grad=True)
+    ((a + b).sum() + a.sum()).backward()
+    assert np.array_equal(b.grad, np.ones((2, 3)))
+    assert np.array_equal(a.grad, np.full((2, 3), 2.0))
+
+
+def test_negative_zero_gradient_accumulates_to_positive_zero():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    (x * -0.0).sum().backward()
+    assert np.array_equal(x.grad, [0.0, 0.0])
+    assert not np.signbit(x.grad).any()
 
 
 def test_softmax_rows_sum_to_one():
@@ -172,7 +210,7 @@ def test_two_layer_net_matches_finite_difference():
     w2 = rng.standard_normal((5, 2)) / np.sqrt(5)
 
     def build(xt, w1t, b1t, w2t):
-        return ad.matmul(ad.tanh(ad.matmul(xt, w1t) + b1t), w2t).sum()
+        return ad.matmul(ad.tanh(ad.linear(xt, w1t, b1t)), w2t).sum()
 
     assert max_relative_error(build, [x, w1, b1, w2]) < 1e-4
 
@@ -205,3 +243,17 @@ def test_backward_graphs_are_not_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_critic_loss_graph_has_one_node_per_affine_map():
+    D = build_network(discriminator_spec(6), 3, seed=4)
+    G = build_network(generator_spec(3, 6), 3, seed=5).freeze()
+    rng = np.random.default_rng(7)
+    x, z = rng.uniform(size=(5, 6)), rng.standard_normal((5, 3))
+    loss, _ = wgan_discriminator_loss(D, G, x, z, gp_lambda=10.0, rng=rng)
+    nodes = ad._topo_order(loss)
+    assert len(nodes) == 41
+    params = {id(p) for p in D.parameters().values()}
+    # Parameters reach matmul only through the gradient penalty's transpose.
+    assert not [n for n in nodes if n.op == "matmul" and id(n._parents[1]) in params]
+    assert sum(n.op == "linear" for n in nodes) == 6  # two critic passes, three layers each

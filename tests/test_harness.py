@@ -2,6 +2,8 @@ import dataclasses
 import logging
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -99,6 +101,47 @@ def test_append_results_row_accumulates(tmp_path):
     harness.append_results_row(path, ["m", "v"], ["mekd", 2.0])
     lines = path.read_text().splitlines()
     assert lines == ["m,v", "kd,1.0", "mekd,2.0"]
+
+
+def test_append_results_row_rejects_other_header(tmp_path):
+    path = tmp_path / "results.csv"
+    harness.append_results_row(path, ["m", "v"], ["kd", 1.0])
+    with pytest.raises(ValueError, match="header"):
+        harness.append_results_row(path, ["m", "v", "w"], ["mekd", 2.0, 3.0])
+    assert path.read_text() == "m,v\nkd,1.0\n"
+
+
+_APPEND_WORKER = """\
+import os, sys, time
+from mekd.harness import append_results_row
+path, go, worker = sys.argv[1], sys.argv[2], sys.argv[3]
+print("ready", flush=True)
+while not os.path.exists(go):
+    time.sleep(0.001)
+for i in range(50):
+    append_results_row(path, ["worker", "i"], [worker, i])
+"""
+
+
+def test_append_results_row_concurrent_processes_lose_no_rows(tmp_path):
+    path, go = tmp_path / "results.csv", tmp_path / "go"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(harness.__file__)))
+    procs = [subprocess.Popen([sys.executable, "-c", _APPEND_WORKER, str(path), str(go), str(w)],
+                              stdout=subprocess.PIPE, text=True, env=env)
+             for w in range(4)]
+    try:
+        for p in procs:
+            assert p.stdout.readline() == "ready\n"
+        go.touch()
+        for p in procs:
+            assert p.wait(timeout=60) == 0
+    finally:
+        for p in procs:
+            p.kill()
+            p.stdout.close()
+    lines = path.read_text().splitlines()
+    assert lines[0] == "worker,i"
+    assert sorted(lines[1:]) == sorted(f"{w},{i}" for w in range(4) for i in range(50))
 
 
 # -- dataset plumbing ----------------------------------------------------------
