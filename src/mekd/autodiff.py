@@ -60,8 +60,8 @@ def no_grad():
         _grad_enabled = prev
 
 
-def _as_array(data, dtype=None) -> np.ndarray:
-    arr = np.asarray(data, dtype=dtype)
+def _as_array(data) -> np.ndarray:
+    arr = np.asarray(data)
     if arr.dtype.kind != "f":
         arr = arr.astype(np.float64)
     return arr
@@ -72,8 +72,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grads", "op")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = _as_array(data, dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = _as_array(data)
         if not np.isfinite(self.data).all():
             raise NonFiniteError("leaf")
         self.grad: np.ndarray | None = None
@@ -85,10 +85,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def item(self) -> float:
         return self.data.item()  # requires a size-1 value
@@ -147,9 +143,6 @@ class Tensor:
     def mean(self, axis=None, keepdims=False):
         return reduce_mean(self, axis, keepdims)
 
-    def transpose(self):
-        return transpose(self)
-
 
 def _topo_order(root: Tensor) -> list[Tensor]:
     # Iterative DFS postorder; parent tuples make the order deterministic.
@@ -171,12 +164,12 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def constant(data, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=False, dtype=dtype)
+def constant(data) -> Tensor:
+    return Tensor(data, requires_grad=False)
 
 
-def _wrap(x, dtype=None) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
+def _wrap(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], op: str, grads: tuple) -> Tensor:
@@ -253,21 +246,6 @@ def reshape(a: Tensor, shape) -> Tensor:
                    (lambda g: g.reshape(a.shape),))
 
 
-def _slice_of(ndim: int, axis: int, lo, hi):
-    idx = [slice(None)] * ndim
-    idx[axis] = slice(lo, hi)
-    idx = tuple(idx)
-    return lambda g: g[idx]
-
-
-def concat(parts: list[Tensor], axis: int = 1) -> Tensor:
-    parts = [_wrap(p) for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
-    grads = tuple(_slice_of(data.ndim, axis, lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:]))
-    return _result(data, tuple(parts), "concat", grads)
-
-
 # -- elementwise nonlinearities ------------------------------------------
 
 
@@ -320,13 +298,6 @@ def log(a: Tensor) -> Tensor:
         except FloatingPointError:
             raise NonFiniteError("log") from None
     return _result(data, (a,), "log", (lambda g: g / a.data,))
-
-
-def exp(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    with np.errstate(over="ignore"):  # overflow becomes inf; _result rejects it
-        data = np.exp(a.data)
-    return _result(data, (a,), "exp", (lambda g: g * data,))
 
 
 def sqrt(a: Tensor) -> Tensor:

@@ -221,15 +221,3 @@ def batches(ds: Dataset, m: int, seed=None, shuffle: bool = True) -> list[np.nda
         order = rng.permutation(total)
     return [order[i:i + m] for i in range(0, total, m)]
 
-
-# -- CSV export -----------------------------------------------------------
-
-
-def export_csv(ds: Dataset, path) -> None:
-    header = "index,label," + ",".join(f"v{j}" for j in range(ds.n))
-    label_values = ds.labels  # inspection path; counted but permitted
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for i in range(len(ds)):
-            values = ",".join(format(v, ".17g") for v in ds.samples[i])
-            fh.write(f"{i},{label_values[i]},{values}\n")

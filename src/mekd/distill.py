@@ -6,13 +6,13 @@ counter around an x -> probability-vector function.  The student loss is
     alpha * generation_distance(G(y_S), G(y_T)) + beta * kld(p_T || p_S)
 
 with the distance taken per image as (mean_j |d_j|^p)^(1/p) and averaged
-over the batch.  The baseline KD method is the same loop with alpha = 0,
-so the two methods share every code path that matters for comparison.
+over the batch.  The baseline kd method is the same loop with alpha = 0
+and tau = kd_tau (see ``harness.distill_config``), so kd and mekd differ
+in both the distance weight and the KL temperature.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +25,7 @@ from .nets import Network
 from .optim import SGD, TrainingDiverged, multistep_lr
 
 GEN_INPUTS = ("probs", "logits")
+KEY_DISTILL_EPOCH = 31  # spawn key (31, epoch) of each epoch's shuffle
 
 
 class TeacherAnswerError(ValueError):
@@ -251,7 +252,8 @@ def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
     for epoch in range(cfg.epochs):
         lr = multistep_lr(epoch, cfg.lr, list(cfg.milestones), cfg.gamma)
         opt.lr = lr
-        shuffle_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(31, epoch)))
+        shuffle_rng = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(KEY_DISTILL_EPOCH, epoch)))
         sums = {"total": 0.0, "distance": 0.0, "kld": 0.0}
         idx_batches = batches(ds, min(cfg.m, len(ds)), seed=shuffle_rng, shuffle=True)
         for step, idx in enumerate(idx_batches):
@@ -280,12 +282,3 @@ def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
             epoch_callback(epoch, student, row)
     return student, log
 
-
-def baseline_kd(student: Network, teacher: BlindTeacher, ds: Dataset,
-                cfg: DistillConfig, seed, eval_train: Dataset | None = None,
-                eval_test: Dataset | None = None, epoch_callback=None) -> tuple[Network, list[dict]]:
-    """Classic softened-label KD: the distillation loop with the distance term off."""
-    kd_cfg = dataclasses.replace(cfg, alpha=0.0)
-    return distill(student, teacher, None, ds, kd_cfg, seed,
-                   eval_train=eval_train, eval_test=eval_test,
-                   epoch_callback=epoch_callback)

@@ -21,6 +21,7 @@ from .nets import HIDDEN_DERIVATIVE, Network
 from .optim import SGD, TrainingDiverged, multistep_lr
 
 EPS = 1e-7
+KEY_GAN_EPOCH = 21  # spawn keys (21, epoch, stream) of each epoch's generators
 
 PRIOR_KINDS = ("gaussian", "uniform", "simplex-dirichlet")
 VARIANTS = ("vanilla", "wgan-gp")
@@ -154,7 +155,8 @@ def wgan_generator_loss(D: Network, G: Network, z_batch: np.ndarray) -> Tensor:
 
 
 def _epoch_rng(seed, epoch: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(21, epoch, stream)))
+    key = (KEY_GAN_EPOCH, epoch, stream)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def run_gan_epoch(G: Network, D: Network, ds: Dataset, cfg: GanConfig,

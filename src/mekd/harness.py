@@ -32,7 +32,7 @@ from .optim import SGD, TrainingDiverged, multistep_lr
 
 log = logging.getLogger("mekd")
 
-# Spawn-key namespaces (first element) for the run seed.
+# Spawn-key families (first element) for the run seed; gan and distill own 21 and 31.
 KEY_DATA_TRAIN = 1
 KEY_DATA_TEST = 2
 KEY_DATA_SPLIT = 3
@@ -62,6 +62,11 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
     """Write atomically, as checkpoints are: temp file in place, then rename."""
     lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
     checkpoint.atomic_write(path, "".join(line + "\n" for line in lines).encode("utf-8"))
+
+
+def _write_log(path, header: list[str], rows: list[dict]) -> None:
+    """write_csv of dict rows, each row's values taken in header order."""
+    write_csv(path, header, [[row[key] for key in header] for row in rows])
 
 
 def append_results_row(path, header: list[str], row: list) -> None:
@@ -169,14 +174,36 @@ def build_role(cfg: RunConfig, which: str, n: int, num_classes: int) -> Network:
                          _seq(cfg.get("run", "seed"), init_key))
 
 
-def _load_role(cfg: RunConfig, which: str, ds: Dataset, path) -> Network:
-    """The frozen network of role `which`, sized for ds, with path's weights."""
-    net = build_role(cfg, which, ds.n, ds.num_classes)
-    try:
-        net.load_state_dict(checkpoint.load(path))
-    except FileNotFoundError:
-        raise ConfigError(f"missing checkpoint {path}; run the earlier stage first") from None
-    return net.freeze()
+class _Run:
+    """A stage's inputs: the run's datasets, seed, networks and out_dir files.
+
+    Every stage loads its inputs through this class, so all stages see the
+    same train and test sets.  A disjoint split reads the training labels,
+    so it is made only when a stage asks for it.
+    """
+
+    def __init__(self, cfg: RunConfig, out_dir: str):
+        self.cfg, self.out_dir = cfg, out_dir
+        self.seed = cfg.get("run", "seed")
+        self.train, self.test = load_dataset(cfg)
+
+    def splits(self) -> tuple[Dataset, Dataset]:
+        return gan_and_distill_splits(self.cfg, self.train)
+
+    def path(self, name: str) -> str:
+        return os.path.join(self.out_dir, name)
+
+    def build(self, role: str) -> Network:
+        return build_role(self.cfg, role, self.train.n, self.train.num_classes)
+
+    def load(self, role: str, name: str) -> Network:
+        """The frozen network of `role` with the weights of checkpoint `name`."""
+        net, path = self.build(role), self.path(name)
+        try:
+            net.load_state_dict(checkpoint.load(path))
+        except FileNotFoundError:
+            raise ConfigError(f"missing checkpoint {path}; run the earlier stage first") from None
+        return net.freeze()
 
 
 def distill_config(cfg: RunConfig, method: str) -> DistillConfig:
@@ -233,20 +260,18 @@ def train_teacher(cfg: RunConfig, train: Dataset, test: Dataset) -> tuple[Networ
 
 def run_train_teacher(cfg: RunConfig, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
-    train, test = load_dataset(cfg)
-    net, rows = train_teacher(cfg, train, test)
-    checkpoint.save(os.path.join(out_dir, "teacher.ckpt"), net.state_dict())
-    write_csv(os.path.join(out_dir, "teacher_log.csv"),
-              ["epoch", "loss", "train_acc", "test_acc", "lr"],
-              [[r["epoch"], r["loss"], r["train_acc"], r["test_acc"], r["lr"]] for r in rows])
+    run = _Run(cfg, out_dir)
+    net, rows = train_teacher(cfg, run.train, run.test)
+    checkpoint.save(run.path("teacher.ckpt"), net.state_dict())
+    _write_log(run.path("teacher_log.csv"), ["epoch", "loss", "train_acc", "test_acc", "lr"], rows)
     summary = {"teacher_train_acc": rows[-1]["train_acc"] if rows else None,
-               "teacher_test_acc": rows[-1]["test_acc"] if rows else accuracy(net, test)}
+               "teacher_test_acc": rows[-1]["test_acc"] if rows else accuracy(net, run.test)}
     log.info("teacher: train_acc=%s test_acc=%s", summary["teacher_train_acc"],
              summary["teacher_test_acc"])
-    if summary["teacher_test_acc"] <= 1.0 / train.num_classes:
+    if summary["teacher_test_acc"] <= 1.0 / run.train.num_classes:
         log.warning("teacher test accuracy %s is at or below chance (1/%d); "
                     "students distilled from it learn nothing",
-                    summary["teacher_test_acc"], train.num_classes)
+                    summary["teacher_test_acc"], run.train.num_classes)
     return summary
 
 
@@ -280,28 +305,21 @@ def generator_fid(cfg: RunConfig, G: Network, real: Dataset, tag: int = 0) -> fl
 
 def run_train_gan(cfg: RunConfig, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
-    train, _ = load_dataset(cfg)
-    gan_ds, _ = gan_and_distill_splits(cfg, train)
-    seed = cfg.get("run", "seed")
-    G = build_role(cfg, "generator", train.n, train.num_classes)
-    D = build_role(cfg, "discriminator", train.n, train.num_classes)
-    prior = NoisePrior(cfg.get("gan", "prior"), train.num_classes)
+    run = _Run(cfg, out_dir)
+    gan_ds, _ = run.splits()
+    prior = NoisePrior(cfg.get("gan", "prior"), run.train.num_classes)
     snapshots = set(cfg.get("gan", "snapshot_epochs"))
 
     def on_epoch(epoch, G_now, _D, _rows):
         if epoch in snapshots:
-            path = os.path.join(out_dir, f"generator_epoch{epoch:04d}.ckpt")
-            checkpoint.save(path, G_now.state_dict())
+            checkpoint.save(run.path(f"generator_epoch{epoch:04d}.ckpt"), G_now.state_dict())
 
-    G, gan_log = train_gan(G, D, gan_ds, cfg.build("gan"), prior, seed,
-                           epoch_callback=on_epoch)
-    checkpoint.save(os.path.join(out_dir, "generator.ckpt"), G.state_dict())
-    write_csv(os.path.join(out_dir, "gan_log.csv"),
-              ["epoch", "step", "L_D", "L_G", "gp"],
-              [[r["epoch"], r["step"], r["L_D"], r["L_G"], r["gp"]] for r in gan_log])
+    G, gan_log = train_gan(run.build("generator"), run.build("discriminator"), gan_ds,
+                           cfg.build("gan"), prior, run.seed, epoch_callback=on_epoch)
+    checkpoint.save(run.path("generator.ckpt"), G.state_dict())
+    _write_log(run.path("gan_log.csv"), ["epoch", "step", "L_D", "L_G", "gp"], gan_log)
     fid = generator_fid(cfg, G, gan_ds)
-    write_csv(os.path.join(out_dir, "gan_summary.csv"),
-              ["gen_fid", "epochs", "config_hash"],
+    write_csv(run.path("gan_summary.csv"), ["gen_fid", "epochs", "config_hash"],
               [[fid, cfg.get("gan", "epochs"), cfg.hash()]])
     log.info("generator FID: %s", fid)
     return {"gen_fid": fid}
@@ -325,32 +343,25 @@ RESULTS_HEADER = ["method", "seed", "teacher_acc", "student_acc", "gen_fid",
 
 def run_distill(cfg: RunConfig, out_dir: str, method: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
-    train, test = load_dataset(cfg)
-    _, distill_ds = gan_and_distill_splits(cfg, train)
-    seed = cfg.get("run", "seed")
+    run = _Run(cfg, out_dir)
     dcfg = distill_config(cfg, method)
-
-    teacher = _load_role(cfg, "teacher", train, os.path.join(out_dir, "teacher.ckpt"))
+    teacher = run.load("teacher", "teacher.ckpt")
     blind = BlindTeacher.from_network(teacher, cache=dcfg.cache_teacher)
-    student = build_role(cfg, "student", train.n, train.num_classes)
+    G = run.load("generator", "generator.ckpt") if dcfg.alpha > 0 else None
+    _, distill_ds = run.splits()
+    student, d_log = distill(run.build("student"), blind, G, distill_ds, dcfg, run.seed,
+                             eval_train=run.train, eval_test=run.test)
 
-    G = (_load_role(cfg, "generator", train, os.path.join(out_dir, "generator.ckpt"))
-         if dcfg.alpha > 0 else None)
-    student, d_log = distill(student, blind, G, distill_ds, dcfg, seed,
-                             eval_train=train, eval_test=test)
+    checkpoint.save(run.path(f"student_{method}.ckpt"), student.state_dict())
+    _write_log(run.path(f"distill_{method}_log.csv"),
+               ["epoch", "L_total", "L_distance", "L_kld", "train_acc", "test_acc", "lr"], d_log)
 
-    checkpoint.save(os.path.join(out_dir, f"student_{method}.ckpt"), student.state_dict())
-    write_csv(os.path.join(out_dir, f"distill_{method}_log.csv"),
-              ["epoch", "L_total", "L_distance", "L_kld", "train_acc", "test_acc", "lr"],
-              [[r["epoch"], r["L_total"], r["L_distance"], r["L_kld"],
-                r["train_acc"], r["test_acc"], r["lr"]] for r in d_log])
-
-    teacher_acc = accuracy(teacher, test)
-    student_acc = accuracy(student, test)
+    teacher_acc = accuracy(teacher, run.test)
+    student_acc = accuracy(student, run.test)
     gen_fid = _read_gan_fid(out_dir) if method == "mekd" else None
-    row = [method, seed, teacher_acc, student_acc, gen_fid,
+    row = [method, run.seed, teacher_acc, student_acc, gen_fid,
            dcfg.alpha, dcfg.beta, dcfg.p_norm, dcfg.tau, cfg.hash()]
-    append_results_row(os.path.join(out_dir, "results.csv"), RESULTS_HEADER, row)
+    append_results_row(run.path("results.csv"), RESULTS_HEADER, row)
     log.info("distill[%s]: teacher_acc=%s student_acc=%s", method, teacher_acc, student_acc)
     return {"method": method, "teacher_acc": teacher_acc, "student_acc": student_acc,
             "gen_fid": gen_fid, "queries": blind.query_count}
@@ -360,38 +371,34 @@ def run_distill(cfg: RunConfig, out_dir: str, method: str) -> dict:
 
 
 def run_ablation_fid(cfg: RunConfig, out_dir: str) -> list[dict]:
-    train, test = load_dataset(cfg)
-    _, distill_ds = gan_and_distill_splits(cfg, train)
-    seed = cfg.get("run", "seed")
+    run = _Run(cfg, out_dir)
     pattern = re.compile(r"generator_epoch(\d+)\.ckpt$")
-    found = sorted((int(m.group(1)), os.path.join(out_dir, name))
+    found = sorted((int(m.group(1)), name)
                    for name in os.listdir(out_dir) if (m := pattern.search(name)))
     if len(found) < 2:
         raise ConfigError(
             f"FID ablation needs >= 2 generator snapshots in {out_dir}; found {len(found)} "
             f"(set [gan] snapshot_epochs and rerun train-gan)")
 
-    teacher = _load_role(cfg, "teacher", train, os.path.join(out_dir, "teacher.ckpt"))
+    teacher = run.load("teacher", "teacher.ckpt")
     dcfg = distill_config(cfg, "mekd")
+    _, distill_ds = run.splits()
 
     entries = []
-    for epoch, path in found:
-        G = _load_role(cfg, "generator", train, path)
+    for epoch, name in found:
+        G = run.load("generator", name)
         entries.append((generator_fid(cfg, G, distill_ds, tag=epoch), epoch, G))
     entries.sort(key=lambda t: t[0])
 
     rows = []
     for fid, epoch, G in entries:
         blind = BlindTeacher.from_network(teacher, cache=dcfg.cache_teacher)
-        student = build_role(cfg, "student", train.n, train.num_classes)
-        student, _ = distill(student, blind, G, distill_ds, dcfg, seed)
+        student, _ = distill(run.build("student"), blind, G, distill_ds, dcfg, run.seed)
         rows.append({"gen_fid": fid, "gan_epoch": epoch,
-                     "student_acc": accuracy(student, test), "seed": seed,
+                     "student_acc": accuracy(student, run.test), "seed": run.seed,
                      "config_hash": cfg.hash()})
-    write_csv(os.path.join(out_dir, "ablation.csv"),
-              ["gen_fid", "gan_epoch", "student_acc", "seed", "config_hash"],
-              [[r["gen_fid"], r["gan_epoch"], r["student_acc"], r["seed"], r["config_hash"]]
-               for r in rows])
+    _write_log(run.path("ablation.csv"),
+               ["gen_fid", "gan_epoch", "student_acc", "seed", "config_hash"], rows)
     return rows
 
 
@@ -399,20 +406,15 @@ def run_ablation_fid(cfg: RunConfig, out_dir: str) -> list[dict]:
 
 
 def run_eval(cfg: RunConfig, out_dir: str) -> dict:
-    train, test = load_dataset(cfg)
-    out: dict = {}
-    teacher = _load_role(cfg, "teacher", train, os.path.join(out_dir, "teacher.ckpt"))
-    out["teacher_acc"] = accuracy(teacher, test)
+    run = _Run(cfg, out_dir)
+    out = {"teacher_acc": accuracy(run.load("teacher", "teacher.ckpt"), run.test)}
     for method in ("mekd", "kd"):
-        path = os.path.join(out_dir, f"student_{method}.ckpt")
-        if os.path.exists(path):
-            student = _load_role(cfg, "student", train, path)
-            out[f"student_acc_{method}"] = accuracy(student, test)
-    gen_path = os.path.join(out_dir, "generator.ckpt")
-    if os.path.exists(gen_path):
-        G = _load_role(cfg, "generator", train, gen_path)
-        gan_ds, _ = gan_and_distill_splits(cfg, train)
-        out["gen_fid"] = generator_fid(cfg, G, gan_ds)
+        name = f"student_{method}.ckpt"
+        if os.path.exists(run.path(name)):
+            out[f"student_acc_{method}"] = accuracy(run.load("student", name), run.test)
+    if os.path.exists(run.path("generator.ckpt")):
+        G = run.load("generator", "generator.ckpt")
+        out["gen_fid"] = generator_fid(cfg, G, run.splits()[0])
     for key, value in out.items():
         log.info("eval %s = %s", key, value)
     return out
@@ -420,24 +422,21 @@ def run_eval(cfg: RunConfig, out_dir: str) -> dict:
 
 def run_grad_profile(cfg: RunConfig, out_dir: str, samples: int = 8) -> list[list]:
     """Per-sample logit-gradient profiles for CE / KD / MEKD-L1 / MEKD-L2."""
-    train, test = load_dataset(cfg)
-    seed = cfg.get("run", "seed")
-    teacher = _load_role(cfg, "teacher", train, os.path.join(out_dir, "teacher.ckpt"))
-    blind = BlindTeacher.from_network(teacher)
-    G = _load_role(cfg, "generator", train, os.path.join(out_dir, "generator.ckpt"))
-    student_path = os.path.join(out_dir, "student_mekd.ckpt")
-    student = build_role(cfg, "student", train.n, train.num_classes)
-    if os.path.exists(student_path):
-        student.load_state_dict(checkpoint.load(student_path))
+    run = _Run(cfg, out_dir)
+    blind = BlindTeacher.from_network(run.load("teacher", "teacher.ckpt"))
+    G = run.load("generator", "generator.ckpt")
+    student = run.build("student")  # trainable: the profiles are its gradients
+    if os.path.exists(run.path("student_mekd.ckpt")):
+        student.load_state_dict(checkpoint.load(run.path("student_mekd.ckpt")))
     kd_tau = cfg.get("distill", "kd_tau")
     alpha, beta = cfg.get("distill", "alpha"), cfg.get("distill", "beta")
 
-    rng = np.random.default_rng(_seq(seed, KEY_PROFILE))
-    picks = rng.choice(len(test), size=min(samples, len(test)), replace=False)
-    label_values = test.labels  # ground-truth ordering is part of the figure
+    rng = np.random.default_rng(_seq(run.seed, KEY_PROFILE))
+    picks = rng.choice(len(run.test), size=min(samples, len(run.test)), replace=False)
+    label_values = run.test.labels  # ground-truth ordering is part of the figure
     rows = []
     for i in picks:
-        x = test.samples[i]
+        x = run.test.samples[i]
         k = int(label_values[i])
         p_t = blind.classify(x.reshape(1, -1))
 
@@ -458,6 +457,6 @@ def run_grad_profile(cfg: RunConfig, out_dir: str, samples: int = 8) -> list[lis
             profile = record_logit_gradients(student, fn, x, k)
             rows.append([name, int(i), k] + [float(v) for v in profile])
     header = (["evaluator", "sample_index", "true_class"]
-              + [f"g{j}" for j in range(test.num_classes)])
-    write_csv(os.path.join(out_dir, "gradient_profiles.csv"), header, rows)
+              + [f"g{j}" for j in range(run.test.num_classes)])
+    write_csv(run.path("gradient_profiles.csv"), header, rows)
     return rows

@@ -71,24 +71,6 @@ class NetworkSpec:
         return (self.input_dim, *self.hidden, self.output_dim)
 
 
-def teacher_spec(n: int, num_classes: int) -> NetworkSpec:
-    return NetworkSpec("classifier", n, (128, 64), num_classes)
-
-
-def student_spec(n: int, num_classes: int) -> NetworkSpec:
-    return NetworkSpec("classifier", n, (32,), num_classes)
-
-
-def generator_spec(num_classes: int, n: int,
-                   output_range: tuple[float, float] = (0.0, 1.0)) -> NetworkSpec:
-    return NetworkSpec("generator", num_classes, (64, 128), n,
-                       output_range=output_range)
-
-
-def discriminator_spec(n: int) -> NetworkSpec:
-    return NetworkSpec("discriminator", n, (128, 64), 1, activation="leaky_relu")
-
-
 class Network:
     """A fully-connected network with a role-specific output head."""
 
@@ -103,9 +85,6 @@ class Network:
         self.frozen = False
 
     # -- plumbing ---------------------------------------------------------
-
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
 
     def freeze(self) -> "Network":
         for p in self.params.values():
@@ -192,8 +171,7 @@ class Network:
         return self.logits(x)
 
 
-def build_network(spec: NetworkSpec, num_classes: int, seed,
-                  dtype=np.float64) -> Network:
+def build_network(spec: NetworkSpec, num_classes: int, seed) -> Network:
     """Construct a seeded network, enforcing the role's dimension contract.
 
     Initialization is uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer,
@@ -218,8 +196,8 @@ def build_network(spec: NetworkSpec, num_classes: int, seed,
     for i in range(len(widths) - 1):
         fan_in, fan_out = widths[i], widths[i + 1]
         bound = 1.0 / np.sqrt(fan_in)
-        w = rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype)
-        b = rng.uniform(-bound, bound, size=(fan_out,)).astype(dtype)
+        w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        b = rng.uniform(-bound, bound, size=(fan_out,))
         params[f"layers.{i}.weight"] = Tensor(w, requires_grad=True)
         params[f"layers.{i}.bias"] = Tensor(b, requires_grad=True)
     return Network(spec, params)

@@ -24,9 +24,9 @@ from mekd.distill import (BlindTeacher, DistillConfig, distill,
 from mekd.gan import NoisePrior, discriminator_loss, generator_loss, sample_noise
 from mekd.gradcheck import run_op_suite
 from mekd.metrics import FrechetStats, frechet_distance
-from mekd.nets import (Network, NetworkSpec, build_network,
-                       discriminator_spec, generator_spec)
+from mekd.nets import Network, NetworkSpec, build_network
 from mekd.optim import SGD, multistep_lr
+from specs import discriminator_spec, generator_spec
 
 SEEDS = (0, 1, 2)
 
@@ -337,7 +337,7 @@ def test_criterion_09_invertible_pair_convergence():
         u0 = ad.matmul(y, ad.constant(e0))
         u1 = ad.matmul(y, ad.constant(e1))
         tt = (ad.log(u0) - ad.log(u1)) * (1.0 / a)
-        return ad.concat([tt, tt * 0.0], axis=1)
+        return ad.matmul(tt, ad.constant([[1.0, 0.0]]))
 
     recovered = inverse_generator(ad.constant(y_t)).data
     assert np.max(np.abs(recovered[:, 0] - (t - 0.5))) < 1e-12

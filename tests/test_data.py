@@ -10,7 +10,6 @@ from mekd.data import (
     IdxFormatError,
     augment,
     batches,
-    export_csv,
     hflip,
     parse_idx,
     random_crop,
@@ -200,12 +199,3 @@ def test_take_subsets():
     assert len(sub) == 3
     assert np.array_equal(sub.samples, ds.samples[[0, 5, 11]])
     assert np.array_equal(sub.labels, ds.labels[[0, 5, 11]])
-
-
-def test_export_csv_layout(tmp_path):
-    ds = Dataset(np.array([[0.25, 0.75]]), np.array([1]), num_classes=2)
-    path = tmp_path / "ds.csv"
-    export_csv(ds, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "index,label,v0,v1"
-    assert lines[1] == "0,1,0.25,0.75"

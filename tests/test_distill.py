@@ -10,14 +10,14 @@ from mekd.distill import (
     BlindTeacher,
     DistillConfig,
     TeacherAnswerError,
-    baseline_kd,
     distill,
     generation_distance,
     kld_loss,
     student_loss,
 )
 from mekd.gan import GanConfig, NoisePrior, train_gan
-from mekd.nets import build_network, discriminator_spec, generator_spec, student_spec, teacher_spec
+from mekd.nets import build_network
+from specs import generator_spec, student_spec, teacher_spec
 
 
 def _softmax_np(z):
@@ -243,7 +243,7 @@ def test_distance_gradient_only_reaches_first_argument():
     generation_distance(G, y_s, y_t, 1).backward()
     assert y_s.grad is not None
     assert y_t.grad is None
-    assert all(p.grad is None for p in G.parameters().values())
+    assert all(p.grad is None for p in G.params.values())
 
 
 def test_distance_validates_inputs():
@@ -362,7 +362,7 @@ def test_distill_config_validation():
         DistillConfig(epochs=-1)
 
 
-# -- distill / baseline_kd loops ---------------------------------------------
+# -- distill loops ---------------------------------------------
 
 
 def _train_setup(seed=0):
@@ -470,21 +470,10 @@ def test_distill_log_schema_and_lr_schedule():
             cfg.alpha * r["L_distance"] + cfg.beta * r["L_kld"], abs=1e-10)
 
 
-def test_baseline_kd_equals_distill_with_alpha_zero():
-    ds, teacher, student, G, cfg = _train_setup(seed=4)
-    kd_student, kd_log = baseline_kd(student, teacher, ds, cfg, seed=11)
-    kd_bytes = checkpoint.dumps(kd_student.state_dict())
-
-    ds2, teacher2, student2, _, _ = _train_setup(seed=4)
-    cfg0 = dataclasses.replace(cfg, alpha=0.0)
-    via_distill, d_log = distill(student2, teacher2, None, ds2, cfg0, seed=11)
-    assert checkpoint.dumps(via_distill.state_dict()) == kd_bytes
-    assert kd_log == d_log
-
-
 def test_baseline_kd_ignores_generator_entirely():
     ds, teacher, student, _, cfg = _train_setup(seed=5)
-    trained, log = baseline_kd(student, teacher, ds, cfg, seed=0)
+    trained, log = distill(student, teacher, None, ds, dataclasses.replace(cfg, alpha=0.0),
+                           seed=0)
     assert all(r["L_distance"] == 0.0 for r in log)
 
 

@@ -17,7 +17,8 @@ from mekd.gan import (
     wgan_discriminator_loss,
     wgan_generator_loss,
 )
-from mekd.nets import NetworkSpec, build_network, discriminator_spec, generator_spec
+from mekd.nets import NetworkSpec, build_network
+from specs import discriminator_spec, generator_spec
 from mekd.optim import SGD, TrainingDiverged, multistep_lr
 
 
@@ -167,7 +168,7 @@ def test_generator_loss_reaches_generator_parameters():
     loss = generator_loss(D, G, np.random.default_rng(0).standard_normal((4, 3)),
                           "non-saturating")
     loss.backward()
-    assert all(p.grad is not None for p in G.parameters().values())
+    assert all(p.grad is not None for p in G.params.values())
 
 
 def test_discriminator_loss_does_not_train_generator():
@@ -176,8 +177,8 @@ def test_discriminator_loss_does_not_train_generator():
     loss = discriminator_loss(D, G, np.random.default_rng(1).uniform(size=(4, 6)),
                               np.random.default_rng(2).standard_normal((4, 3)))
     loss.backward()
-    assert all(p.grad is None for p in G.parameters().values())
-    assert all(p.grad is not None for p in D.parameters().values())
+    assert all(p.grad is None for p in G.params.values())
+    assert all(p.grad is not None for p in D.params.values())
 
 
 # -- critic input gradients and gradient penalty ----------------------------
@@ -362,7 +363,7 @@ def test_train_gan_freeze_contract():
     z = Tensor(np.random.default_rng(0).standard_normal((3, 2)), requires_grad=True)
     trained.generate(z).sum().backward()
     assert z.grad is not None
-    assert all(p.grad is None for p in trained.parameters().values())
+    assert all(p.grad is None for p in trained.params.values())
 
 
 def test_train_gan_log_rows_schema_and_gp():

@@ -459,6 +459,33 @@ def test_run_grad_profile_outputs(tiny_cfg, tmp_path):
     assert header == "evaluator,sample_index,true_class,g0,g1,g2"
 
 
+def test_stages_load_datasets_once_and_split_only_on_demand(tiny_cfg, tmp_path, monkeypatch):
+    # a disjoint split reads the training labels; a stage that never uses
+    # the halves must not make it
+    cfg = tiny_cfg.replace("data", "split", "disjoint")
+    calls = {"load_dataset": 0, "gan_and_distill_splits": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(harness, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(harness, name, counted)
+    out = str(tmp_path / "run")
+
+    def counts(stage, *args):
+        calls.update(dict.fromkeys(calls, 0))
+        stage(cfg, out, *args)
+        return calls["load_dataset"], calls["gan_and_distill_splits"]
+
+    assert counts(harness.run_train_teacher) == (1, 0)
+    assert counts(harness.run_eval) == (1, 0)  # no generator.ckpt yet
+    assert counts(harness.run_train_gan) == (1, 1)
+    assert counts(harness.run_distill, "mekd") == (1, 1)
+    assert counts(harness.run_distill, "kd") == (1, 1)
+    assert counts(harness.run_ablation_fid) == (1, 1)
+    assert counts(harness.run_eval) == (1, 1)
+    assert counts(harness.run_grad_profile) == (1, 0)
+
+
 def test_read_gan_fid_missing_returns_none(tmp_path):
     assert harness._read_gan_fid(str(tmp_path)) is None
 

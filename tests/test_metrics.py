@@ -13,7 +13,8 @@ from mekd.metrics import (
     matrix_sqrt_psd,
     record_logit_gradients,
 )
-from mekd.nets import NetworkSpec, build_network, generator_spec, student_spec
+from mekd.nets import NetworkSpec, build_network
+from specs import generator_spec, student_spec
 
 
 # -- accuracy ---------------------------------------------------------------

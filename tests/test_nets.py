@@ -3,15 +3,8 @@ import pytest
 
 from mekd import autodiff as ad
 from mekd.autodiff import Tensor
-from mekd.nets import (
-    DimensionContractError,
-    NetworkSpec,
-    build_network,
-    discriminator_spec,
-    generator_spec,
-    student_spec,
-    teacher_spec,
-)
+from mekd.nets import DimensionContractError, NetworkSpec, build_network
+from specs import discriminator_spec, generator_spec, student_spec, teacher_spec
 
 
 def test_spec_rejects_unknown_role_and_activation():
@@ -132,8 +125,8 @@ def test_freeze_blocks_gradient_accumulation():
     x = np.random.default_rng(4).uniform(size=(3, 4))
     gap = (teacher.classify(x) - student.classify(x))
     (gap * gap).sum().backward()
-    assert all(p.grad is None for p in teacher.parameters().values())
-    assert all(p.grad is not None for p in student.parameters().values())
+    assert all(p.grad is None for p in teacher.params.values())
+    assert all(p.grad is not None for p in student.params.values())
 
 
 def test_state_dict_round_trip_changes_output():
