@@ -137,11 +137,11 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis, keepdims)
+    def sum(self, axis=None):
+        return reduce_sum(self, axis)
 
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis, keepdims)
+    def mean(self, axis=None):
+        return reduce_mean(self, axis)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -329,25 +329,25 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 # -- reductions ----------------------------------------------------------
 
 
-def _unreduce(g: np.ndarray, axis, keepdims: bool) -> np.ndarray:
+def _unreduce(g: np.ndarray, axis) -> np.ndarray:
     """The reduced gradient with the reduced axis put back (size 1)."""
-    return np.expand_dims(g, axis) if axis is not None and not keepdims else g
+    return g if axis is None else np.expand_dims(g, axis)
 
 
-def reduce_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
+def reduce_sum(a: Tensor, axis=None) -> Tensor:
     a = _wrap(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    data = a.data.sum(axis=axis)
 
     def grad(g):
-        g = _unreduce(g, axis, keepdims)
+        g = _unreduce(g, axis)
         return np.broadcast_to(g, a.shape).copy() if g.shape != a.shape else g
 
     return _result(np.asarray(data), (a,), "sum", (grad,))
 
 
-def reduce_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
+def reduce_mean(a: Tensor, axis=None) -> Tensor:
     a = _wrap(a)
-    data = a.data.mean(axis=axis, keepdims=keepdims)
+    data = a.data.mean(axis=axis)
     count = a.data.size if axis is None else a.shape[axis]
     return _result(np.asarray(data), (a,), "mean",
-                   (lambda g: np.broadcast_to(_unreduce(g, axis, keepdims), a.shape) / count,))
+                   (lambda g: np.broadcast_to(_unreduce(g, axis), a.shape) / count,))

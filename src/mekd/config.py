@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import fields
 
 from .distill import DistillConfig
@@ -85,10 +86,14 @@ def _parse_value(raw: str, default, where: str):
             raise ValueError(raw)
         if isinstance(default, tuple):
             return tuple(int(part) for part in raw.split(",") if part.strip() != "")
-        return type(default)(raw)
+        value = type(default)(raw)
     except ValueError:
         kind = "ints" if isinstance(default, tuple) else type(default).__name__
         raise ConfigError(f"cannot parse {where} = {raw!r} as {kind}") from None
+    # nan compares false with everything, so it would pass every range check
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} = {raw!r} is not a finite number")
+    return value
 
 
 def _format_value(value, default) -> str:

@@ -36,10 +36,11 @@ class BlindTeacher:
     """Query-only access to a teacher: x in, probability vector out.
 
     query_count counts sample rows actually answered by the underlying
-    function; with caching enabled, repeated rows are served from the
-    cache and do not increment it.  Every answer is checked to be one
-    finite, non-negative row summing to 1 per query row; a malformed
-    answer raises TeacherAnswerError and none of its rows is cached.
+    function; with caching enabled, each distinct row is asked once, and
+    every other row (cached, or repeated within one call) is a hit.
+    Every answer is checked to be one finite, non-negative row summing to
+    1 per query row; a malformed answer raises TeacherAnswerError and none
+    of its rows is cached.
     """
 
     def __init__(self, classify_fn, num_classes: int, cache: bool = True):
@@ -58,7 +59,7 @@ class BlindTeacher:
 
         def classify_fn(x: np.ndarray) -> np.ndarray:
             with no_grad():
-                return net.classify(ad.constant(x)).data
+                return net(x).data
 
         return cls(classify_fn, net.spec.output_dim, cache=cache)
 
@@ -82,16 +83,17 @@ class BlindTeacher:
         if self._cache is None:
             out = self._ask(rows)
         else:
-            out = np.empty((len(rows), self.num_classes))
-            misses = [i for i, row in enumerate(rows)
-                      if row.tobytes() not in self._cache]
+            keys = [row.tobytes() for row in rows]
+            misses: dict[bytes, int] = {}  # each missing row's first index, in order
+            for i, key in enumerate(keys):
+                if key not in self._cache:
+                    misses.setdefault(key, i)
             if misses:
-                answered = self._ask(rows[misses])
-                for i, probs in zip(misses, answered):
-                    self._cache[rows[i].tobytes()] = probs
+                self._cache.update(zip(misses, self._ask(rows[list(misses.values())])))
             self.cache_hits += len(rows) - len(misses)
-            for i, row in enumerate(rows):
-                out[i] = self._cache[row.tobytes()]
+            out = np.empty((len(rows), self.num_classes))
+            for i, key in enumerate(keys):
+                out[i] = self._cache[key]
         return out[0] if single else out
 
 
@@ -171,8 +173,7 @@ def generation_distance(generator, y_s, y_t, p_norm: int) -> Tensor:
     y_t = _as_2d(ad.constant(y_t.data if isinstance(y_t, Tensor) else y_t))
     if y_s.data.shape != y_t.data.shape:
         raise ValueError(f"shape mismatch: {y_s.data.shape} vs {y_t.data.shape}")
-    gen = generator.generate if isinstance(generator, Network) else generator
-    diff = gen(y_s) - gen(y_t)
+    diff = generator(y_s) - generator(y_t)
     if p_norm == 1:
         per_image = ad.absolute(diff).mean(axis=1)
     else:
@@ -185,7 +186,7 @@ def student_loss(student: Network, teacher: BlindTeacher, generator,
     """Total loss plus its parts as floats: {'distance':, 'kld':}."""
     x_batch = np.asarray(x_batch, dtype=np.float64)
     p_t = teacher.classify(x_batch)
-    probs_s = student.classify(ad.constant(x_batch))
+    probs_s = student(x_batch)
 
     parts: dict[str, float] = {}
     total = None

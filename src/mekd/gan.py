@@ -94,35 +94,36 @@ def discriminator_loss(D: Network, G: Network, x_batch, z_batch) -> Tensor:
     if len(x_data) != len(z_batch):
         raise ValueError(f"batch size mismatch: {len(x_data)} real vs {len(z_batch)} noise")
     with no_grad():
-        fake = G.generate(ad.constant(z_batch))
-    d_real = _clamped(D.discriminate(x_batch))
-    d_fake = _clamped(D.discriminate(fake))
+        fake = G(z_batch)
+    d_real = _clamped(D(x_batch))
+    d_fake = _clamped(D(fake))
     return -(ad.log(d_real).mean() + ad.log(1.0 - d_fake).mean())
 
 
 def generator_loss(D: Network, G: Network, z_batch, mode: str) -> Tensor:
     if mode not in GENERATOR_LOSS_MODES:
         raise ValueError(f"unknown generator loss mode {mode!r}")
-    fake = G.generate(ad.constant(z_batch))
-    d_fake = _clamped(D.discriminate(fake))
+    fake = G(z_batch)
+    d_fake = _clamped(D(fake))
     if mode == "minimize-log1m":
         return ad.log(1.0 - d_fake).mean()
     return -ad.log(d_fake).mean()
 
 
-def score_and_input_gradient(D: Network, x: Tensor) -> tuple[Tensor, Tensor]:
-    """Critic score s(x) and d s/d x, both as graph nodes.
+def input_gradient(D: Network, x) -> Tensor:
+    """d s/d x of the critic score s = D.logits(x), as a graph node.
 
-    The input-gradient is unrolled layer by layer so the result stays
+    The input-gradient is unrolled layer by layer from the hidden pass, so
+    the score itself is never computed, and the result stays
     differentiable with respect to the critic's parameters; this is what
     lets the gradient penalty train by ordinary backprop.
     """
-    score, _, hidden = D._pre_head(x)
+    _, hidden = D._hidden(x)
     derivative = HIDDEN_DERIVATIVE[D.spec.activation]
-    delta = ad.constant(np.ones((x.data.shape[0], 1)))
+    delta = ad.constant(np.ones((x.shape[0], 1)))
     for (w, _), (a, h) in zip(reversed(D.layers[1:]), reversed(hidden)):
         delta = ad.matmul(delta, ad.transpose(w)) * derivative(a, h)
-    return score, ad.matmul(delta, ad.transpose(D.layers[0][0]))
+    return ad.matmul(delta, ad.transpose(D.layers[0][0]))
 
 
 def gradient_penalty(D: Network, x_real: np.ndarray, x_fake: np.ndarray,
@@ -130,8 +131,7 @@ def gradient_penalty(D: Network, x_real: np.ndarray, x_fake: np.ndarray,
     """(1/m) sum (||grad_xhat D(xhat)||_2 - 1)^2 on random interpolates."""
     m = len(x_real)
     t = rng.uniform(size=(m, 1))
-    xhat = ad.constant(t * x_real + (1.0 - t) * x_fake)
-    _, grad = score_and_input_gradient(D, xhat)
+    grad = input_gradient(D, t * x_real + (1.0 - t) * x_fake)
     norms = ad.sqrt(ad.reduce_sum(ad.square(grad), axis=1))
     return ad.reduce_mean(ad.square(norms - 1.0))
 
@@ -140,15 +140,14 @@ def wgan_discriminator_loss(D: Network, G: Network, x_batch: np.ndarray,
                             z_batch: np.ndarray, gp_lambda: float,
                             rng: np.random.Generator) -> tuple[Tensor, Tensor]:
     with no_grad():
-        fake = G.generate(ad.constant(z_batch))
-    loss = D.score(fake).mean() - D.score(ad.constant(x_batch)).mean()
+        fake = G(z_batch)
+    loss = D.logits(fake).mean() - D.logits(x_batch).mean()
     gp = gradient_penalty(D, np.asarray(x_batch), fake.data, rng)
     return loss + gp * gp_lambda, gp
 
 
 def wgan_generator_loss(D: Network, G: Network, z_batch: np.ndarray) -> Tensor:
-    fake = G.generate(ad.constant(z_batch))
-    return -D.score(fake).mean()
+    return -D.logits(G(z_batch)).mean()
 
 
 # -- training loop --------------------------------------------------------

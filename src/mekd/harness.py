@@ -242,7 +242,7 @@ def train_teacher(cfg: RunConfig, train: Dataset, test: Dataset) -> tuple[Networ
                             crop_pad=crop_pad, rng=rng)
                     for row in xb])
             try:
-                loss = cross_entropy(net.classify(ad.constant(xb)), labels[idx])
+                loss = cross_entropy(net(xb), labels[idx])
                 opt.zero_grad()
                 loss.backward()
             except ad.NonFiniteError as e:
@@ -294,7 +294,7 @@ def generator_fid(cfg: RunConfig, G: Network, real: Dataset, tag: int = 0) -> fl
     count = min(len(real), FID_ROWS)
     z = sample_noise(prior, count, rng)
     with no_grad():
-        fake = G.generate(ad.constant(z)).data
+        fake = G(z).data
     reference = real.samples
     if len(real) > FID_ROWS:
         pick = np.random.default_rng(_seq(seed, KEY_FID_REAL)).choice(

@@ -34,7 +34,7 @@ def accuracy(net: Network, ds: Dataset) -> float:
     with no_grad():
         for lo in range(0, len(ds), _EVAL_CHUNK):
             chunk = ds.samples[lo:lo + _EVAL_CHUNK]
-            preds[lo:lo + len(chunk)] = np.argmax(net.classify(chunk).data, axis=1)
+            preds[lo:lo + len(chunk)] = np.argmax(net(chunk).data, axis=1)
     return float(np.mean(preds == ds.labels))
 
 
@@ -122,7 +122,7 @@ def record_logit_gradients(student: Network, loss_fn, sample: np.ndarray,
     if not 0 <= true_class < num_classes:
         raise ValueError(f"class {true_class} out of range [0, {num_classes})")
     x = np.asarray(sample, dtype=np.float64).reshape(1, -1)
-    logits = student.logits(ad.constant(x))
+    logits = student.logits(x)
     if not logits.requires_grad:
         raise ValueError("student parameters are frozen; no gradient to record")
     loss = loss_fn(logits)

@@ -122,9 +122,9 @@ def test_criterion_02_loss_oracles():
         x = rng.uniform(size=(m, n))
         z = rng.standard_normal((m, c))
         with no_grad():
-            d_real = np.clip(D.discriminate(ad.constant(x)).data, 1e-7, 1 - 1e-7)
+            d_real = np.clip(D(ad.constant(x)).data, 1e-7, 1 - 1e-7)
             d_fake = np.clip(
-                D.discriminate(G.generate(ad.constant(z))).data, 1e-7, 1 - 1e-7)
+                D(G(ad.constant(z))).data, 1e-7, 1 - 1e-7)
         want_d = -(np.log(d_real).mean() + np.log(1.0 - d_fake).mean())
         assert discriminator_loss(D, G, x, z).item() == pytest.approx(want_d, abs=1e-10)
         mode = "non-saturating" if trial % 2 == 0 else "minimize-log1m"
@@ -141,8 +141,8 @@ def test_criterion_02_loss_oracles():
         y_s = rng.dirichlet(np.ones(c), size=m)
         y_t = rng.dirichlet(np.ones(c), size=m)
         with no_grad():
-            img_s = G.generate(ad.constant(y_s)).data
-            img_t = G.generate(ad.constant(y_t)).data
+            img_s = G(ad.constant(y_s)).data
+            img_t = G(ad.constant(y_t)).data
         diff = np.abs(img_s - img_t)
         want = (diff.mean(axis=1).mean() if p == 1
                 else np.sqrt((diff ** 2).mean(axis=1)).mean())
@@ -347,13 +347,13 @@ def test_criterion_09_invertible_pair_convergence():
     steps = 2000
     for step in range(steps):
         opt.lr = multistep_lr(step, 1.0, [800, 1400], 0.2)
-        y_s = student.classify(ad.constant(x))
+        y_s = student(ad.constant(x))
         loss = generation_distance(inverse_generator, y_s, y_t, 1)
         opt.zero_grad()
         loss.backward()
         opt.step()
     with no_grad():
-        y_s = student.classify(ad.constant(x)).data
+        y_s = student(ad.constant(x)).data
     gaps = np.abs(y_s - y_t).sum(axis=1)
     gap = float(gaps.mean())
     assert gap < 1e-2
@@ -440,9 +440,9 @@ def test_teacher_output_latents_land_near_real_images(pipeline):
         prior = NoisePrior(cfg.get("gan", "prior"), train.num_classes)
         z = sample_noise(prior, len(real), np.random.default_rng(777 + seed))
         with no_grad():
-            y_teacher = teacher.classify(ad.constant(real)).data
-            fake_from_y = G.generate(ad.constant(y_teacher)).data
-            fake_from_z = G.generate(ad.constant(z)).data
+            y_teacher = teacher(ad.constant(real)).data
+            fake_from_y = G(ad.constant(y_teacher)).data
+            fake_from_z = G(ad.constant(z)).data
 
         nn_y = _nearest_real_distance(fake_from_y[:400], real)
         nn_z = _nearest_real_distance(fake_from_z[:400], real)

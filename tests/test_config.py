@@ -61,6 +61,15 @@ def test_unparseable_value_rejected():
         RunConfig.from_ini("[teacher]\nhflip = maybe\n")
 
 
+@pytest.mark.parametrize("raw", ["nan", "-inf"])
+@pytest.mark.parametrize("section, key", [("gan", "clip_norm"), ("distill", "alpha"),
+                                          ("data", "spread")])
+def test_non_finite_float_rejected(section, key, raw):
+    # nan fails every comparison, so it would switch clipping or a loss term off
+    with pytest.raises(ConfigError, match="not a finite number"):
+        RunConfig.from_ini(f"[{section}]\n{key} = {raw}\n")
+
+
 def test_malformed_ini_rejected():
     with pytest.raises(ConfigError, match="malformed"):
         RunConfig.from_ini("seed = 1\n")  # key before any section header

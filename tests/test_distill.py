@@ -62,6 +62,22 @@ def test_blind_teacher_cache_answers_repeats():
     assert np.array_equal(first, again)
 
 
+def test_blind_teacher_cache_asks_a_row_repeated_in_one_call_once():
+    asked = []
+    w = np.random.default_rng(3).standard_normal((4, 3))
+
+    def classify_fn(x):
+        asked.append(np.array(x))
+        return _softmax_np(x @ w)
+
+    t = BlindTeacher(classify_fn, 3, cache=True)
+    x, y = np.random.default_rng(4).uniform(size=(2, 2, 4))
+    out = t.classify(np.vstack([x, y, x, x]))
+    assert t.query_count == 4 and t.cache_hits == 4
+    assert len(asked) == 1 and np.array_equal(asked[0], np.vstack([x, y]))
+    assert np.array_equal(out, _softmax_np(np.vstack([x, y, x, x]) @ w))
+
+
 def test_blind_teacher_cache_transparent():
     x = np.random.default_rng(1).uniform(size=(7, 4))
     cached = _function_teacher(cache=True).classify(x)
@@ -227,8 +243,8 @@ def test_distance_matches_elementwise_oracle():
     rng = np.random.default_rng(9)
     y_s = rng.dirichlet(np.ones(4), size=6)
     y_t = rng.dirichlet(np.ones(4), size=6)
-    img_s = G.generate(y_s).data
-    img_t = G.generate(y_t).data
+    img_s = G(y_s).data
+    img_t = G(y_t).data
     want_l1 = np.abs(img_s - img_t).mean(axis=1).mean()
     want_l2 = np.sqrt(((img_s - img_t) ** 2).mean(axis=1)).mean()
     assert generation_distance(G, y_s, y_t, 1).item() == pytest.approx(want_l1, abs=1e-10)
@@ -279,7 +295,7 @@ def test_student_loss_decomposes():
         cfg = DistillConfig(p_norm=p_norm, alpha=alpha, beta=beta, tau=tau)
         total, parts = student_loss(student, teacher, G, x, cfg)
         p_t = teacher.classify(x)
-        p_s = student.classify(x).data
+        p_s = student(x).data
         term1 = generation_distance(G, p_s, p_t, p_norm).item()
         term2 = kld_loss(p_t, p_s, tau).item()
         assert parts["distance"] == pytest.approx(term1, abs=1e-10)
@@ -307,7 +323,7 @@ def test_student_loss_alpha_zero_is_pure_kd():
     teacher, student, G, x = _loss_setup(seed=20)
     cfg = DistillConfig(alpha=0.0, beta=1.0, tau=4.0)
     total, parts = student_loss(student, teacher, None, x, cfg)
-    want = kld_loss(teacher.classify(x), student.classify(x).data, 4.0).item()
+    want = kld_loss(teacher.classify(x), student(x).data, 4.0).item()
     assert total.item() == pytest.approx(want, abs=1e-12)
     assert parts["distance"] == 0.0
 
@@ -482,9 +498,9 @@ def test_distill_training_reduces_gap_to_teacher():
     ds, teacher, student, G, _ = _train_setup(seed=8)
     cfg = DistillConfig(m=8, epochs=10, lr=0.2, milestones=(), gamma=0.1)
     x = ds.samples
-    before = np.abs(teacher.classify(x) - student.classify(x).data).mean()
+    before = np.abs(teacher.classify(x) - student(x).data).mean()
     distill(student, teacher, G, ds, cfg, seed=1)
-    after = np.abs(teacher.classify(x) - student.classify(x).data).mean()
+    after = np.abs(teacher.classify(x) - student(x).data).mean()
     assert after < before
 
 

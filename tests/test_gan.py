@@ -10,9 +10,9 @@ from mekd.gan import (
     discriminator_loss,
     generator_loss,
     gradient_penalty,
+    input_gradient,
     run_gan_epoch,
     sample_noise,
-    score_and_input_gradient,
     train_gan,
     wgan_discriminator_loss,
     wgan_generator_loss,
@@ -131,8 +131,8 @@ def test_discriminator_loss_matches_brute_force_on_random_nets():
         x = rng.uniform(size=(8, 6))
         z = rng.standard_normal((8, 3))
         got = discriminator_loss(D, G, x, z).item()
-        d_real = np.clip(D.discriminate(x).data, 1e-7, 1 - 1e-7)
-        d_fake = np.clip(D.discriminate(G.generate(z).data).data, 1e-7, 1 - 1e-7)
+        d_real = np.clip(D(x).data, 1e-7, 1 - 1e-7)
+        d_fake = np.clip(D(G(z).data).data, 1e-7, 1 - 1e-7)
         want = -(np.log(d_real).mean() + np.log(1.0 - d_fake).mean())
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -189,10 +189,28 @@ def test_unrolled_input_gradient_matches_backward(activation):
     spec = NetworkSpec("discriminator", 5, (8, 6), 1, activation=activation)
     D = build_network(spec, 2, seed=11)
     x = Tensor(np.random.default_rng(4).uniform(-1, 1, size=(7, 5)), requires_grad=True)
-    score, grad = score_and_input_gradient(D, x)
+    grad = input_gradient(D, x)
+    score = D.logits(x)
     score.sum().backward()
     assert np.allclose(grad.data, x.grad, atol=1e-12)
     assert score.data.shape == (7, 1)
+
+
+def test_gradient_penalty_stops_before_the_critic_head(monkeypatch):
+    # the penalty needs only the input gradient, so the interpolate pass
+    # computes one affine node per hidden layer and none for the head
+    D = build_network(NetworkSpec("discriminator", 5, (8, 6), 1), 2, seed=2)
+    calls = []
+    linear = ad.linear
+
+    def counting(x, w, b):
+        calls.append(w.shape)
+        return linear(x, w, b)
+
+    monkeypatch.setattr(ad, "linear", counting)
+    rng = np.random.default_rng(1)
+    gradient_penalty(D, rng.uniform(size=(3, 5)), rng.uniform(size=(3, 5)), rng)
+    assert calls == [(5, 8), (8, 6)]
 
 
 def test_gradient_penalty_unit_linear_critic_is_zero():
@@ -229,8 +247,8 @@ def test_gradient_penalty_matches_finite_difference_norms():
             plus, minus = row.copy(), row.copy()
             plus[j] += h
             minus[j] -= h
-            s_plus = D.score(plus.reshape(1, -1)).item()
-            s_minus = D.score(minus.reshape(1, -1)).item()
+            s_plus = D.logits(plus.reshape(1, -1)).item()
+            s_minus = D.logits(minus.reshape(1, -1)).item()
             g[j] = (s_plus - s_minus) / (2 * h)
         penalties.append((np.linalg.norm(g) - 1.0) ** 2)
     assert got == pytest.approx(float(np.mean(penalties)), abs=1e-3)
@@ -273,14 +291,14 @@ def test_wgan_losses_match_direct_forward():
 
     loss, gp = wgan_discriminator_loss(D, G, x, z, gp_lambda=10.0,
                                        rng=np.random.default_rng(1))
-    fake = G.generate(z).data
-    want_core = D.score(fake).data.mean() - D.score(x).data.mean()
+    fake = G(z).data
+    want_core = D.logits(fake).data.mean() - D.logits(x).data.mean()
     want_gp = gradient_penalty(D, x, fake, np.random.default_rng(1)).item()
     assert gp.item() == pytest.approx(want_gp, abs=1e-12)
     assert loss.item() == pytest.approx(want_core + 10.0 * want_gp, abs=1e-12)
 
     g_loss = wgan_generator_loss(D, G, z)
-    assert g_loss.item() == pytest.approx(-D.score(fake).data.mean(), abs=1e-12)
+    assert g_loss.item() == pytest.approx(-D.logits(fake).data.mean(), abs=1e-12)
 
 
 # -- training loop ----------------------------------------------------------
@@ -361,7 +379,7 @@ def test_train_gan_freeze_contract():
     ds, G, D, cfg, prior = _tiny_setup(epochs=1)
     trained, _ = train_gan(G, D, ds, cfg, prior, seed=0)
     z = Tensor(np.random.default_rng(0).standard_normal((3, 2)), requires_grad=True)
-    trained.generate(z).sum().backward()
+    trained(z).sum().backward()
     assert z.grad is not None
     assert all(p.grad is None for p in trained.params.values())
 

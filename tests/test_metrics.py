@@ -219,7 +219,7 @@ def test_ce_gradient_is_probs_minus_onehot():
     for true_class in range(4):
         got = record_logit_gradients(net, lambda z: _ce(z, true_class),
                                      x, true_class)
-        probs = net.classify(x.reshape(1, -1)).data[0]
+        probs = net(x.reshape(1, -1)).data[0]
         onehot = np.eye(4)[true_class]
         want = probs - onehot
         reordered = np.concatenate(([want[true_class]],

@@ -63,7 +63,7 @@ def test_init_respects_fan_in_bounds():
 def test_classifier_outputs_probability_rows():
     net = build_network(teacher_spec(8, 4), 4, seed=2)
     x = np.random.default_rng(0).uniform(size=(5, 8))
-    probs = net.classify(x).data
+    probs = net(x).data
     assert probs.shape == (5, 4)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(probs > 0)
@@ -72,7 +72,7 @@ def test_classifier_outputs_probability_rows():
 def test_discriminator_outputs_open_unit_interval():
     net = build_network(discriminator_spec(8), 4, seed=3)
     x = np.random.default_rng(1).uniform(size=(6, 8))
-    d = net.discriminate(x).data
+    d = net(x).data
     assert d.shape == (6, 1)
     assert np.all((d > 0) & (d < 1))
 
@@ -80,8 +80,8 @@ def test_discriminator_outputs_open_unit_interval():
 def test_discriminator_score_is_pre_sigmoid():
     net = build_network(discriminator_spec(8), 4, seed=3)
     x = np.random.default_rng(2).uniform(size=(4, 8))
-    score = net.score(x).data
-    prob = net.discriminate(x).data
+    score = net.logits(x).data
+    prob = net(x).data
     assert np.allclose(1.0 / (1.0 + np.exp(-score)), prob, atol=1e-12)
 
 
@@ -89,41 +89,24 @@ def test_generator_respects_output_range():
     for lo, hi in [(0.0, 1.0), (-1.0, 1.0)]:
         net = build_network(generator_spec(4, 16, output_range=(lo, hi)), 4, seed=4)
         y = np.random.default_rng(3).uniform(size=(10, 4)) * 6 - 3
-        img = net.generate(y).data
+        img = net(y).data
         assert img.shape == (10, 16)
         assert np.all((img >= lo) & (img <= hi))
-
-
-def test_role_guards():
-    clf = build_network(student_spec(8, 4), 4, seed=5)
-    gen = build_network(generator_spec(4, 8), 4, seed=5)
-    with pytest.raises(ValueError):
-        clf.generate(np.zeros(4))
-    with pytest.raises(ValueError):
-        gen.classify(np.zeros(8))
-    with pytest.raises(ValueError):
-        gen.score(np.zeros(8))
 
 
 def test_input_width_validated():
     net = build_network(student_spec(8, 4), 4, seed=6)
     with pytest.raises(ValueError):
-        net.classify(np.zeros((2, 7)))
-
-
-def test_single_sample_round_trip():
-    net = build_network(student_spec(8, 4), 4, seed=6)
-    single = net.classify(np.zeros(8)).data
-    batch = net.classify(np.zeros((1, 8))).data
-    assert single.shape == (4,)
-    assert np.array_equal(single, batch[0])
+        net(np.zeros((2, 7)))
+    with pytest.raises(ValueError, match=r"expects a \(rows, 8\) batch, got shape \(8,\)"):
+        net(np.zeros(8))
 
 
 def test_freeze_blocks_gradient_accumulation():
     teacher = build_network(student_spec(4, 2), 2, seed=7).freeze()
     student = build_network(student_spec(4, 2), 2, seed=8)
     x = np.random.default_rng(4).uniform(size=(3, 4))
-    gap = (teacher.classify(x) - student.classify(x))
+    gap = (teacher(x) - student(x))
     (gap * gap).sum().backward()
     assert all(p.grad is None for p in teacher.params.values())
     assert all(p.grad is not None for p in student.params.values())
@@ -133,9 +116,9 @@ def test_state_dict_round_trip_changes_output():
     a = build_network(student_spec(8, 4), 4, seed=9)
     b = build_network(student_spec(8, 4), 4, seed=10)
     x = np.random.default_rng(5).uniform(size=(2, 8))
-    assert not np.allclose(a.classify(x).data, b.classify(x).data)
+    assert not np.allclose(a(x).data, b(x).data)
     b.load_state_dict(a.state_dict())
-    assert np.array_equal(a.classify(x).data, b.classify(x).data)
+    assert np.array_equal(a(x).data, b(x).data)
 
 
 def test_load_state_dict_validates_names_and_shapes():
@@ -155,13 +138,13 @@ def test_logits_match_softmax_head():
     net = build_network(student_spec(8, 4), 4, seed=12)
     x = np.random.default_rng(6).uniform(size=(3, 8))
     logits = net.logits(x)
-    via_head = net.classify(x).data
+    via_head = net(x).data
     assert np.allclose(ad.softmax(logits).data, via_head, atol=1e-12)
 
 
 def test_zero_hidden_depth_allowed():
     net = build_network(NetworkSpec("classifier", 5, (), 3), 3, seed=13)
-    out = net.classify(np.zeros((2, 5))).data
+    out = net(np.zeros((2, 5))).data
     assert out.shape == (2, 3)
 
 
@@ -171,5 +154,5 @@ def test_leaky_relu_hidden_activation_used():
     assert spec.activation == "leaky_relu"
     net = build_network(spec, 4, seed=14)
     x = Tensor(-np.ones((2, 4)) * 50.0, requires_grad=True)
-    net.score(x).sum().backward()
+    net.logits(x).sum().backward()
     assert np.any(x.grad != 0.0)
