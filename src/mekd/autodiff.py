@@ -19,11 +19,21 @@ An affine map ``x @ w + b`` is one ``linear`` node rather than a
 is Python overhead per node, not arithmetic, so every network layer
 records a single node for its affine part.
 
-A parent's first gradient is stored as a new array, never as the array
-the gradient function returned: one gradient array may reach several
-parents (``_same`` hands the same object to both sides of an ``add``),
-and a later ``+=`` into a shared array would corrupt the other parent's
-gradient.
+Only leaves copy their first gradient; an intermediate node stores the
+array its child's gradient function returned, and a second contribution
+rebinds it (``grad = grad + g``) rather than adding in place.  One
+gradient array may reach several parents (``_same`` hands the same
+object to both sides of an ``add``), so an in-place update of a stored
+gradient would corrupt every other holder of that array; never updating
+one in place makes sharing safe and saves a copy per node.  A leaf's
+gradient is what optimizers read, and later contributions (and later
+backward calls) add into it in place, so its first gradient is copied
+into an array of its own as ``+0.0 + g``, which also turns a ``-0.0``
+into ``+0.0``.  Intermediate gradients may keep a ``-0.0``; that changes
+no leaf's bits, because the sign of a zero never changes a nonzero value
+further down and leaves normalize zeros.  Backward walks only nodes that
+require a gradient: constants and no-grad subgraphs never enter its
+order.
 
 Values are checked for NaN/Inf as they are produced; a non-finite
 result raises :class:`NonFiniteError` naming the operation instead of
@@ -33,6 +43,7 @@ propagating silently.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -107,9 +118,16 @@ class Tensor:
         order = _topo_order(self)
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
+            g = node.grad
             for parent, grad in zip(node._parents, node._grads):
-                if parent.requires_grad:
-                    parent._accumulate(grad(node.grad))
+                if not parent.requires_grad:
+                    continue
+                if not parent._parents:
+                    parent._accumulate(grad(g))
+                elif parent.grad is None:
+                    parent.grad = grad(g)
+                else:
+                    parent.grad = parent.grad + grad(g)
 
     # -- operator sugar -------------------------------------------------
 
@@ -145,7 +163,8 @@ class Tensor:
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
-    # Iterative DFS postorder; parent tuples make the order deterministic.
+    # Iterative DFS postorder over the nodes that need a gradient; parent
+    # tuples make the order deterministic.
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -159,7 +178,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in seen:
+            if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
     return order
 
@@ -174,15 +193,26 @@ def _wrap(x) -> Tensor:
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], op: str, grads: tuple) -> Tensor:
     """The output node of ``op``; ``grads[i]`` maps its gradient to ``parents[i]``'s."""
-    if not np.isfinite(data).all():
+    # A finite sum proves every value finite; only a non-finite one (or an
+    # overflowing sum of finite values) needs the elementwise check.
+    if not math.isfinite(data.sum()) and not np.isfinite(data).all():
         raise NonFiniteError(op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out.op = op
-    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+    out.requires_grad = _needs_grad(parents)
     out._parents, out._grads = (parents, grads) if out.requires_grad else ((), ())
     return out
+
+
+def _needs_grad(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op on ``parents`` records a graph node."""
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                return True
+    return False
 
 
 def _same(g: np.ndarray) -> np.ndarray:
@@ -231,8 +261,20 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
             or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
         raise ValueError(f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
-    return _result(x.data @ w.data + b.data, (x, w, b), "linear",
+    out = x.data @ w.data
+    out += b.data
+    return _result(out, (x, w, b), "linear",
                    (lambda g: g @ w.data.T, lambda g: x.data.T @ g, lambda g: g.sum(axis=0)))
+
+
+def matmul_t(a: Tensor, w: Tensor) -> Tensor:
+    """``a @ w.T`` as one node, bit-identical to ``matmul(a, transpose(w))``."""
+    a, w = _wrap(a), _wrap(w)
+    if a.data.ndim != 2 or w.data.ndim != 2 or a.shape[1] != w.shape[1]:
+        raise ValueError(f"matmul_t shape mismatch: {a.shape} @ {w.shape}.T")
+    wt = w.data.T.copy()
+    return _result(a.data @ wt, (a, w), "matmul_t",
+                   (lambda g: g @ wt.T, lambda g: (a.data.T @ g).T))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -251,12 +293,18 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     a = _wrap(a)
-    mask = a.data > 0
-    return _result(np.where(mask, a.data, 0.0), (a,), "relu", (lambda g: g * mask,))
+    data = np.maximum(a.data, 0.0)
+    data += 0.0  # relu(-0.0) is +0.0
+    if not _needs_grad((a,)):
+        return _result(data, (a,), "relu", ())
+    mask = (a.data > 0).astype(np.float64)
+    return _result(data, (a,), "relu", (lambda g: g * mask,))
 
 
 def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
     a = _wrap(a)
+    if not _needs_grad((a,)):
+        return _result(np.maximum(a.data, alpha * a.data), (a,), "leaky_relu", ())
     slope = np.where(a.data > 0, 1.0, alpha)
     return _result(a.data * slope, (a,), "leaky_relu", (lambda g: g * slope,))
 

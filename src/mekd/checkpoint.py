@@ -73,13 +73,20 @@ def loads(blob: bytes) -> dict[str, np.ndarray]:
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"parameter name is not UTF-8: {e.reason}") from None
         (rank,) = r.unpack("<B")
         shape = r.unpack(f"<{rank}I")
         size = 1
         for extent in shape:
             size *= extent
-        values = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape)
+        raw = r.take(8 * size)
+        try:
+            values = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        except ValueError:  # a zero extent beside extents too large for numpy
+            raise CheckpointError(f"impossible shape {shape} for {name!r}") from None
         if name in params:
             raise CheckpointError(f"duplicate parameter name {name!r}")
         params[name] = values.copy()  # frombuffer views are read-only

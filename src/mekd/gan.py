@@ -10,6 +10,7 @@ piecewise-linear ones contribute constant masks).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .data import Dataset, batches
-from .nets import HIDDEN_DERIVATIVE, Network
+from .nets import HIDDEN_DERIVATIVE, PIECEWISE_LINEAR, Network
 from .optim import SGD, TrainingDiverged, multistep_lr
 
 EPS = 1e-7
@@ -116,14 +117,18 @@ def input_gradient(D: Network, x) -> Tensor:
     The input-gradient is unrolled layer by layer from the hidden pass, so
     the score itself is never computed, and the result stays
     differentiable with respect to the critic's parameters; this is what
-    lets the gradient penalty train by ordinary backprop.
+    lets the gradient penalty train by ordinary backprop.  A piecewise-
+    linear critic's derivative reads only the sign of each pre-activation,
+    so its hidden pass records no graph.
     """
-    _, hidden = D._hidden(x)
+    piecewise = D.spec.activation in PIECEWISE_LINEAR
+    with no_grad() if piecewise else contextlib.nullcontext():
+        _, hidden = D._hidden(x)
     derivative = HIDDEN_DERIVATIVE[D.spec.activation]
     delta = ad.constant(np.ones((x.shape[0], 1)))
     for (w, _), (a, h) in zip(reversed(D.layers[1:]), reversed(hidden)):
-        delta = ad.matmul(delta, ad.transpose(w)) * derivative(a, h)
-    return ad.matmul(delta, ad.transpose(D.layers[0][0]))
+        delta = ad.matmul_t(delta, w) * derivative(a, h)
+    return ad.matmul_t(delta, D.layers[0][0])
 
 
 def gradient_penalty(D: Network, x_real: np.ndarray, x_fake: np.ndarray,
@@ -156,6 +161,20 @@ def wgan_generator_loss(D: Network, G: Network, z_batch: np.ndarray) -> Tensor:
 def _epoch_rng(seed, epoch: int, stream: int) -> np.random.Generator:
     key = (KEY_GAN_EPOCH, epoch, stream)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+@contextlib.contextmanager
+def _fixed(net: Network):
+    """Inside the block, net's parameters take no gradient (the generator
+    step would otherwise compute critic gradients nobody reads)."""
+    flags = [(p, p.requires_grad) for p in net.params.values()]
+    for p, _ in flags:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p, flag in flags:
+            p.requires_grad = flag
 
 
 def run_gan_epoch(G: Network, D: Network, ds: Dataset, cfg: GanConfig,
@@ -191,11 +210,12 @@ def run_gan_epoch(G: Network, D: Network, ds: Dataset, cfg: GanConfig,
         z_batch = sample_noise(prior, cfg.m, noise_rng)
         opt_D.zero_grad()
         opt_G.zero_grad()
-        if cfg.variant == "vanilla":
-            loss_g = generator_loss(D, G, z_batch, cfg.generator_loss_mode)
-        else:
-            loss_g = wgan_generator_loss(D, G, z_batch)
-        loss_g.backward()
+        with _fixed(D):
+            if cfg.variant == "vanilla":
+                loss_g = generator_loss(D, G, z_batch, cfg.generator_loss_mode)
+            else:
+                loss_g = wgan_generator_loss(D, G, z_batch)
+            loss_g.backward()
         opt_G.step()
 
         rows.append({"epoch": epoch, "step": step, "L_D": loss_d,

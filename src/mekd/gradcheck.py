@@ -81,6 +81,7 @@ def op_suite(seed: int) -> list[tuple[str, Callable[..., Tensor], list[np.ndarra
     cases = [
         ("linear", lambda X, W, B: (ad.linear(X, W, B) * r).sum(), [x, w, b]),
         ("matmul", lambda X, W: (ad.matmul(X, W) * r).sum(), [x, w]),
+        ("matmul_t", lambda X, W: (ad.matmul_t(X, W) * rx).sum(), [r, w]),
         ("relu", lambda X: (ad.relu(X) * rx).sum(), [kinky]),
         ("leaky_relu", lambda X: (ad.leaky_relu(X, 0.2) * rx).sum(), [kinky]),
         ("tanh", lambda X: (ad.tanh(X) * rx).sum(), [x]),

@@ -127,5 +127,5 @@ def record_logit_gradients(student: Network, loss_fn, sample: np.ndarray,
         raise ValueError("student parameters are frozen; no gradient to record")
     loss = loss_fn(logits)
     loss.backward()
-    g = logits.grad[0]
+    g = logits.grad[0] + 0.0  # an intermediate gradient may hold -0.0
     return np.concatenate(([g[true_class]], g[:true_class], g[true_class + 1:]))

@@ -39,6 +39,10 @@ HIDDEN_DERIVATIVE = {
 
 HIDDEN_ACTIVATIONS = tuple(_HIDDEN)
 
+# Activations whose HIDDEN_DERIVATIVE reads only the pre-activation's sign,
+# so it needs no graph through the hidden pass.
+PIECEWISE_LINEAR = frozenset({"relu", "leaky_relu"})
+
 
 class DimensionContractError(ValueError):
     """A network spec violates its role's input/output dimension contract."""

@@ -245,8 +245,9 @@ def test_critic_loss_graph_has_one_node_per_affine_map():
     x, z = rng.uniform(size=(5, 6)), rng.standard_normal((5, 3))
     loss, _ = wgan_discriminator_loss(D, G, x, z, gp_lambda=10.0, rng=rng)
     nodes = ad._topo_order(loss)
-    assert len(nodes) == 41
+    # Only nodes that need a gradient: no constants, no penalty transposes.
+    assert len(nodes) == 33
     params = {id(p) for p in D.params.values()}
-    # Parameters reach matmul only through the gradient penalty's transpose.
+    # Parameters reach the penalty's unroll only through matmul_t.
     assert not [n for n in nodes if n.op == "matmul" and id(n._parents[1]) in params]
     assert sum(n.op == "linear" for n in nodes) == 6  # two critic passes, three layers each

@@ -2,6 +2,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mekd.checkpoint import MAGIC, VERSION, CheckpointError, dumps, load, loads, save
 
@@ -112,3 +115,36 @@ def test_array_like_values_coerced_to_float64():
     out = loads(dumps({"w": [1, 2]}))
     assert out["w"].dtype == np.float64
     assert np.array_equal(out["w"], [1.0, 2.0])
+
+
+def test_non_utf8_name_rejected():
+    blob = bytearray(dumps({"w": np.array([1.0])}))
+    blob[8 + 4 + 2] = 0xFF  # the name's only byte
+    with pytest.raises(CheckpointError, match="UTF-8"):
+        loads(bytes(blob))
+
+
+def test_impossible_shape_rejected():
+    forged = (MAGIC + struct.pack("<II", VERSION, 1) + struct.pack("<H", 1) + b"w"
+              + struct.pack("<B", 4) + struct.pack("<4I", 0, *[2**32 - 1] * 3))
+    with pytest.raises(CheckpointError, match="impossible shape"):
+        loads(forged)
+
+
+_names = st.text(st.characters(codec="utf-8"), min_size=1, max_size=3)
+_arrays = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=2),
+                     elements=st.floats(allow_nan=False))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.dictionaries(_names, _arrays, min_size=1, max_size=2))
+def test_every_truncation_and_byte_mutation_loads_or_raises_checkpoint_error(params):
+    blob = dumps(params)
+    variants = [blob[:n] for n in range(len(blob))]
+    for i in range(len(blob)):
+        variants += [blob[:i] + bytes([v]) + blob[i + 1:] for v in range(256) if v != blob[i]]
+    for variant in variants:
+        try:
+            loads(variant)
+        except CheckpointError:
+            pass
