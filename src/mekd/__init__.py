@@ -11,7 +11,7 @@ from .config import ConfigError, RunConfig
 from .data import Dataset, parse_idx, serialize_idx, synth_blobs
 from .distill import (BlindTeacher, DistillConfig, TeacherAnswerError, distill,
                       generation_distance, kld_loss)
-from .gan import GanConfig, NoisePrior, sample_noise, train_gan
+from .gan import GanConfig, sample_noise, train_gan
 from .metrics import accuracy, frechet_distance, matrix_sqrt_psd
 from .nets import Network, NetworkSpec, build_network
 from .optim import SGD, TrainingDiverged, multistep_lr
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlindTeacher", "ConfigError", "Dataset", "DistillConfig", "GanConfig",
-    "Network", "NetworkSpec", "NoisePrior", "NonFiniteError", "RunConfig",
+    "Network", "NetworkSpec", "NonFiniteError", "RunConfig",
     "SGD", "Tensor", "TeacherAnswerError", "TrainingDiverged", "accuracy",
     "build_network", "distill", "frechet_distance", "generation_distance",
     "kld_loss", "matrix_sqrt_psd", "multistep_lr", "no_grad", "parse_idx",

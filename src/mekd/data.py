@@ -14,6 +14,9 @@ import numpy as np
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 
+KEY_BLOB_CENTROIDS = 11  # spawn key of synth_blobs' centroids, under centroid_seed
+KEY_BLOB_NOISE = 12      # and of its sample noise, under seed
+
 
 class IdxFormatError(ValueError):
     """Malformed IDX payload."""
@@ -125,12 +128,12 @@ def serialize_idx(ds: Dataset, rows: int, cols: int) -> tuple[bytes, bytes]:
 # -- synthesis ------------------------------------------------------------
 
 
-def _child_seq(seed, suffix: tuple[int, ...]) -> np.random.SeedSequence:
-    """Derive a child SeedSequence whether ``seed`` is an int or a SeedSequence."""
+def spawn(seed, *key: int) -> np.random.SeedSequence:
+    """The package's one seed derivation: the stream ``key`` under ``seed``, an
+    int or a SeedSequence (whose own spawn key ``key`` extends, so streams nest)."""
     if isinstance(seed, np.random.SeedSequence):
-        return np.random.SeedSequence(seed.entropy,
-                                      spawn_key=tuple(seed.spawn_key) + suffix)
-    return np.random.SeedSequence(seed, spawn_key=suffix)
+        return np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, *key))
+    return np.random.SeedSequence(seed, spawn_key=key)
 
 
 def synth_blobs(num_classes: int, n: int, per_class: int, spread: float, seed,
@@ -145,7 +148,7 @@ def synth_blobs(num_classes: int, n: int, per_class: int, spread: float, seed,
         raise ValueError(f"need num_classes >= 2 and n >= 2, got {num_classes}, {n}")
     if centroid_seed is None:
         centroid_seed = seed
-    crng = np.random.default_rng(_child_seq(centroid_seed, (11,)))
+    crng = np.random.default_rng(spawn(centroid_seed, KEY_BLOB_CENTROIDS))
     centroids = crng.uniform(0.15, 0.85, size=(num_classes, n))
     for _ in range(100):
         dists = np.linalg.norm(centroids[:, None, :] - centroids[None, :, :], axis=2)
@@ -156,7 +159,7 @@ def synth_blobs(num_classes: int, n: int, per_class: int, spread: float, seed,
     else:
         raise RuntimeError("could not place well-separated centroids; raise n")
 
-    nrng = np.random.default_rng(_child_seq(seed, (12,)))
+    nrng = np.random.default_rng(spawn(seed, KEY_BLOB_NOISE))
     samples = np.repeat(centroids, per_class, axis=0)
     samples = samples + spread * nrng.standard_normal(samples.shape)
     samples = np.clip(samples, 0.0, 1.0)

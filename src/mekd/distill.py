@@ -6,7 +6,8 @@ counter around an x -> probability-vector function.  The student loss is
     alpha * generation_distance(G(y_S), G(y_T)) + beta * kld(p_T || p_S)
 
 with the distance taken per image as (mean_j |d_j|^p)^(1/p) and averaged
-over the batch.  The baseline kd method is the same loop with alpha = 0
+over the batch; :func:`generator_input` feeds both sides' 2-d probability
+batches to G.  The baseline kd method is the same loop with alpha = 0
 and tau = kd_tau (see ``harness.distill_config``), so kd and mekd differ
 in both the distance weight and the KL temperature.
 """
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
-from .data import Dataset, batches
+from .data import Dataset, batches, spawn
 from .metrics import PROB_FLOOR, accuracy
 from .nets import Network
 from .optim import SGD, TrainingDiverged, multistep_lr
@@ -77,9 +78,9 @@ class BlindTeacher:
         return answer
 
     def classify(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        rows = x.reshape(1, -1) if single else x
+        rows = np.asarray(x, dtype=np.float64)
+        if rows.ndim != 2:
+            raise ValueError(f"the teacher answers a 2-d batch of rows, got shape {rows.shape}")
         if self._cache is None:
             out = self._ask(rows)
         else:
@@ -94,7 +95,7 @@ class BlindTeacher:
             out = np.empty((len(rows), self.num_classes))
             for i, key in enumerate(keys):
                 out[i] = self._cache[key]
-        return out[0] if single else out
+        return out
 
 
 @dataclass(frozen=True)
@@ -133,9 +134,12 @@ class DistillConfig:
 # -- losses ---------------------------------------------------------------
 
 
-def _as_2d(p) -> Tensor:
-    t = p if isinstance(p, Tensor) else ad.constant(p)
-    return ad.reshape(t, (1, -1)) if t.data.ndim == 1 else t
+def _pair(a, b) -> tuple[Tensor, Tensor]:
+    """a and b as tensors, which must be 2-d batches of one shape."""
+    a, b = (t if isinstance(t, Tensor) else ad.constant(t) for t in (a, b))
+    if a.data.ndim != 2 or a.shape != b.shape:
+        raise ValueError(f"expected two 2-d batches of one shape, got {a.shape} and {b.shape}")
+    return a, b
 
 
 def _resoften(p: Tensor, tau: float) -> Tensor:
@@ -150,15 +154,23 @@ def _resoften(p: Tensor, tau: float) -> Tensor:
 
 def kld_loss(p_t, p_s, tau: float = 1.0) -> Tensor:
     """Batch-mean KL(p_t || p_s), components clamped at 1e-12."""
-    p_t, p_s = _as_2d(p_t), _as_2d(p_s)
-    if p_t.data.shape != p_s.data.shape:
-        raise ValueError(f"shape mismatch: {p_t.data.shape} vs {p_s.data.shape}")
+    p_t, p_s = _pair(p_t, p_s)
     if tau != 1.0:
         p_t, p_s = _resoften(p_t, tau), _resoften(p_s, tau)
     p_t = ad.clip(p_t, PROB_FLOOR, 1.0)
     p_s = ad.clip(p_s, PROB_FLOOR, 1.0)
     per_row = (p_t * (ad.log(p_t) - ad.log(p_s))).sum(axis=1)
     return per_row.mean()
+
+
+def generator_input(p: Tensor, cfg: DistillConfig) -> Tensor:
+    """The generator's feed for probability rows p: p re-softened at gen_tau,
+    or log p / gen_tau.  A student matching the teacher's probabilities gets a
+    distance of exactly 0 (raw logits would differ by a per-row shift)."""
+    if cfg.gen_input == "probs":
+        return p if cfg.gen_tau == 1.0 else _resoften(p, cfg.gen_tau)
+    y = ad.log(ad.clip(p, PROB_FLOOR, 1.0))
+    return y if cfg.gen_tau == 1.0 else y * (1.0 / cfg.gen_tau)
 
 
 def generation_distance(generator, y_s, y_t, p_norm: int) -> Tensor:
@@ -169,10 +181,7 @@ def generation_distance(generator, y_s, y_t, p_norm: int) -> Tensor:
     """
     if p_norm not in (1, 2):
         raise ValueError(f"p_norm must be 1 or 2, got {p_norm}")
-    y_s = _as_2d(y_s)
-    y_t = _as_2d(ad.constant(y_t.data if isinstance(y_t, Tensor) else y_t))
-    if y_s.data.shape != y_t.data.shape:
-        raise ValueError(f"shape mismatch: {y_s.data.shape} vs {y_t.data.shape}")
+    y_s, y_t = _pair(y_s, ad.constant(y_t.data if isinstance(y_t, Tensor) else y_t))
     diff = generator(y_s) - generator(y_t)
     if p_norm == 1:
         per_image = ad.absolute(diff).mean(axis=1)
@@ -193,22 +202,8 @@ def student_loss(student: Network, teacher: BlindTeacher, generator,
     if cfg.alpha > 0:
         if generator is None:
             raise ValueError("alpha > 0 requires a frozen generator")
-        if cfg.gen_input == "probs":
-            y_s, y_t = probs_s, p_t
-            if cfg.gen_tau != 1.0:
-                y_s = _resoften(y_s, cfg.gen_tau)
-                y_t = _resoften(_as_2d(y_t), cfg.gen_tau).data
-        else:
-            # log-probability feed: both sides shifted identically, so a
-            # student that matches the teacher's probabilities drives the
-            # distance to exactly zero (raw logits would differ by a
-            # per-row logsumexp shift the generator is not invariant to)
-            y_s = ad.log(ad.clip(probs_s, PROB_FLOOR, 1.0))
-            y_t = np.log(np.clip(p_t, PROB_FLOOR, 1.0))
-            if cfg.gen_tau != 1.0:
-                y_s = y_s * (1.0 / cfg.gen_tau)
-                y_t = y_t / cfg.gen_tau
-        dist = generation_distance(generator, y_s, y_t, cfg.p_norm)
+        dist = generation_distance(generator, generator_input(probs_s, cfg),
+                                   generator_input(ad.constant(p_t), cfg), cfg.p_norm)
         parts["distance"] = dist.item()
         total = dist * cfg.alpha
     else:
@@ -227,9 +222,8 @@ def student_loss(student: Network, teacher: BlindTeacher, generator,
 
 
 def _check_frozen(generator) -> None:
-    if isinstance(generator, Network):
-        if not generator.frozen or any(p.requires_grad for p in generator.params.values()):
-            raise ValueError("generator must be frozen before distillation")
+    if isinstance(generator, Network) and any(p.requires_grad for p in generator.params.values()):
+        raise ValueError("generator must be frozen before distillation")
 
 
 def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
@@ -253,8 +247,7 @@ def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
     for epoch in range(cfg.epochs):
         lr = multistep_lr(epoch, cfg.lr, list(cfg.milestones), cfg.gamma)
         opt.lr = lr
-        shuffle_rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(KEY_DISTILL_EPOCH, epoch)))
+        shuffle_rng = np.random.default_rng(spawn(seed, KEY_DISTILL_EPOCH, epoch))
         sums = {"total": 0.0, "distance": 0.0, "kld": 0.0}
         idx_batches = batches(ds, min(cfg.m, len(ds)), seed=shuffle_rng, shuffle=True)
         for step, idx in enumerate(idx_batches):

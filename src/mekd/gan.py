@@ -3,8 +3,8 @@
 The outer loop alternates k discriminator updates with one generator
 update.  Two variants are supported: the vanilla cross-entropy game and
 wgan-gp, whose gradient penalty is built by unrolling the input-gradient
-of the critic as explicit graph operations (exact for MLPs: smooth
-activation derivatives are expressed through the activation values,
+of the critic as explicit graph operations (exact for MLPs: every
+activation derivative is expressed through the activation values, and
 piecewise-linear ones contribute constant masks).
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
-from .data import Dataset, batches
+from .data import Dataset, batches, spawn
 from .nets import HIDDEN_DERIVATIVE, PIECEWISE_LINEAR, Network
 from .optim import SGD, TrainingDiverged, multistep_lr
 
@@ -27,18 +27,6 @@ KEY_GAN_EPOCH = 21  # spawn keys (21, epoch, stream) of each epoch's generators
 PRIOR_KINDS = ("gaussian", "uniform", "simplex-dirichlet")
 VARIANTS = ("vanilla", "wgan-gp")
 GENERATOR_LOSS_MODES = ("minimize-log1m", "non-saturating")
-
-
-@dataclass(frozen=True)
-class NoisePrior:
-    kind: str = "gaussian"
-    dim: int = 2
-
-    def __post_init__(self):
-        if self.kind not in PRIOR_KINDS:
-            raise ValueError(f"unknown noise prior {self.kind!r}; expected one of {PRIOR_KINDS}")
-        if self.dim < 2:
-            raise ValueError(f"noise dimension must be >= 2, got {self.dim}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +52,8 @@ class GanConfig:
             raise ValueError("m and k must be >= 1 and epochs >= 0")
         if self.lr_G <= 0 or self.lr_D <= 0:
             raise ValueError("learning rates must be positive")
+        if self.prior not in PRIOR_KINDS:
+            raise ValueError(f"unknown noise prior {self.prior!r}; expected one of {PRIOR_KINDS}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown GAN variant {self.variant!r}")
         if self.generator_loss_mode not in GENERATOR_LOSS_MODES:
@@ -74,12 +64,16 @@ class GanConfig:
             raise ValueError("clip_norm must be >= 0 (0 disables clipping)")
 
 
-def sample_noise(prior: NoisePrior, m: int, rng: np.random.Generator) -> np.ndarray:
-    if prior.kind == "gaussian":
-        return rng.standard_normal((m, prior.dim))
-    if prior.kind == "uniform":
-        return rng.uniform(-1.0, 1.0, size=(m, prior.dim))
-    return rng.dirichlet(np.ones(prior.dim), size=m)
+def sample_noise(prior: str, m: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    if prior not in PRIOR_KINDS:
+        raise ValueError(f"unknown noise prior {prior!r}; expected one of {PRIOR_KINDS}")
+    if dim < 2:
+        raise ValueError(f"noise dimension must be >= 2, got {dim}")
+    if prior == "gaussian":
+        return rng.standard_normal((m, dim))
+    if prior == "uniform":
+        return rng.uniform(-1.0, 1.0, size=(m, dim))
+    return rng.dirichlet(np.ones(dim), size=m)
 
 
 # -- losses ---------------------------------------------------------------
@@ -117,17 +111,17 @@ def input_gradient(D: Network, x) -> Tensor:
     The input-gradient is unrolled layer by layer from the hidden pass, so
     the score itself is never computed, and the result stays
     differentiable with respect to the critic's parameters; this is what
-    lets the gradient penalty train by ordinary backprop.  A piecewise-
-    linear critic's derivative reads only the sign of each pre-activation,
-    so its hidden pass records no graph.
+    lets the gradient penalty train by ordinary backprop.  Each layer's
+    derivative is read from its activation alone; a piecewise-linear
+    critic's reads only the sign, so its hidden pass records no graph.
     """
     piecewise = D.spec.activation in PIECEWISE_LINEAR
     with no_grad() if piecewise else contextlib.nullcontext():
-        _, hidden = D._hidden(x)
+        hidden = D._hidden(x)[1:]
     derivative = HIDDEN_DERIVATIVE[D.spec.activation]
     delta = ad.constant(np.ones((x.shape[0], 1)))
-    for (w, _), (a, h) in zip(reversed(D.layers[1:]), reversed(hidden)):
-        delta = ad.matmul_t(delta, w) * derivative(a, h)
+    for (w, _), h in zip(reversed(D.layers[1:]), reversed(hidden)):
+        delta = ad.matmul_t(delta, w) * derivative(h)
     return ad.matmul_t(delta, D.layers[0][0])
 
 
@@ -158,11 +152,6 @@ def wgan_generator_loss(D: Network, G: Network, z_batch: np.ndarray) -> Tensor:
 # -- training loop --------------------------------------------------------
 
 
-def _epoch_rng(seed, epoch: int, stream: int) -> np.random.Generator:
-    key = (KEY_GAN_EPOCH, epoch, stream)
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-
-
 @contextlib.contextmanager
 def _fixed(net: Network):
     """Inside the block, net's parameters take no gradient (the generator
@@ -177,13 +166,11 @@ def _fixed(net: Network):
             p.requires_grad = flag
 
 
-def run_gan_epoch(G: Network, D: Network, ds: Dataset, cfg: GanConfig,
-                  prior: NoisePrior, seed, epoch: int,
+def run_gan_epoch(G: Network, D: Network, ds: Dataset, cfg: GanConfig, seed, epoch: int,
                   opt_G: SGD, opt_D: SGD) -> list[dict]:
     """One epoch of Alg.-style alternation; returns this epoch's log rows."""
-    shuffle_rng = _epoch_rng(seed, epoch, 0)
-    noise_rng = _epoch_rng(seed, epoch, 1)
-    gp_rng = _epoch_rng(seed, epoch, 2)
+    shuffle_rng, noise_rng, gp_rng = (
+        np.random.default_rng(spawn(seed, KEY_GAN_EPOCH, epoch, stream)) for stream in range(3))
     idx_batches = batches(ds, min(cfg.m, len(ds)), seed=shuffle_rng, shuffle=True)
 
     rows = []
@@ -193,9 +180,8 @@ def run_gan_epoch(G: Network, D: Network, ds: Dataset, cfg: GanConfig,
         loss_d = gp_value = float("nan")
         for idx in group:
             x_batch = ds.samples[idx]
-            z_batch = sample_noise(prior, len(idx), noise_rng)
+            z_batch = sample_noise(cfg.prior, len(idx), G.spec.input_dim, noise_rng)
             opt_D.zero_grad()
-            opt_G.zero_grad()
             if cfg.variant == "vanilla":
                 loss = discriminator_loss(D, G, x_batch, z_batch)
                 gp_value = 0.0
@@ -207,8 +193,7 @@ def run_gan_epoch(G: Network, D: Network, ds: Dataset, cfg: GanConfig,
             opt_D.step()
             loss_d = loss.item()
 
-        z_batch = sample_noise(prior, cfg.m, noise_rng)
-        opt_D.zero_grad()
+        z_batch = sample_noise(cfg.prior, cfg.m, G.spec.input_dim, noise_rng)
         opt_G.zero_grad()
         with _fixed(D):
             if cfg.variant == "vanilla":
@@ -224,8 +209,8 @@ def run_gan_epoch(G: Network, D: Network, ds: Dataset, cfg: GanConfig,
     return rows
 
 
-def train_gan(G: Network, D: Network, ds: Dataset, cfg: GanConfig,
-              prior: NoisePrior, seed, epoch_callback=None) -> tuple[Network, list[dict]]:
+def train_gan(G: Network, D: Network, ds: Dataset, cfg: GanConfig, seed,
+              epoch_callback=None) -> tuple[Network, list[dict]]:
     """Train G against D on ds; returns (frozen G, per-step log rows)."""
     if G.spec.role != "generator" or D.spec.role != "discriminator":
         raise ValueError("train_gan needs a generator and a discriminator")
@@ -233,8 +218,6 @@ def train_gan(G: Network, D: Network, ds: Dataset, cfg: GanConfig,
         raise ValueError(
             f"generator latent width {G.spec.input_dim} != class count {ds.num_classes}; "
             f"the latent dimension must equal the category count")
-    if prior.dim != ds.num_classes:
-        raise ValueError(f"noise prior dim {prior.dim} != class count {ds.num_classes}")
     if G.spec.output_dim != ds.n:
         raise ValueError(f"generator output width {G.spec.output_dim} != sample width {ds.n}")
 
@@ -246,7 +229,7 @@ def train_gan(G: Network, D: Network, ds: Dataset, cfg: GanConfig,
         opt_G.lr = multistep_lr(epoch, cfg.lr_G, list(cfg.milestones), cfg.gamma)
         opt_D.lr = multistep_lr(epoch, cfg.lr_D, list(cfg.milestones), cfg.gamma)
         try:
-            rows = run_gan_epoch(G, D, ds, cfg, prior, seed, epoch, opt_G, opt_D)
+            rows = run_gan_epoch(G, D, ds, cfg, seed, epoch, opt_G, opt_D)
         except ad.NonFiniteError as e:
             raise TrainingDiverged(
                 f"non-finite value in GAN training at epoch {epoch} "

@@ -23,16 +23,17 @@ from . import autodiff as ad
 from . import checkpoint
 from .autodiff import no_grad
 from .config import ConfigError, RunConfig
-from .data import Dataset, augment, batches, parse_idx, synth_blobs
-from .distill import BlindTeacher, DistillConfig, distill, generation_distance, kld_loss
-from .gan import NoisePrior, sample_noise, train_gan
+from .data import Dataset, augment, batches, parse_idx, spawn, synth_blobs
+from .distill import (BlindTeacher, DistillConfig, distill, generation_distance, generator_input,
+                      kld_loss)
+from .gan import sample_noise, train_gan
 from .metrics import accuracy, cross_entropy, frechet_distance, record_logit_gradients
 from .nets import Network, NetworkSpec, build_network
 from .optim import SGD, TrainingDiverged, multistep_lr
 
 log = logging.getLogger("mekd")
 
-# Spawn-key families (first element) for the run seed; gan and distill own 21 and 31.
+# Spawn-key families (first element) for the run seed; data, gan, distill own 11-12, 21, 31.
 KEY_DATA_TRAIN = 1
 KEY_DATA_TEST = 2
 KEY_DATA_SPLIT = 3
@@ -44,10 +45,6 @@ INIT_TEACHER = 201
 INIT_STUDENT = 202
 INIT_GENERATOR = 203
 INIT_DISCRIMINATOR = 204
-
-
-def _seq(seed: int, *key: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(seed, spawn_key=tuple(key))
 
 
 def _fmt(value) -> str:
@@ -96,11 +93,11 @@ def load_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     if kind == "blobs":
         train = synth_blobs(cfg.get("data", "num_classes"), cfg.get("data", "n"),
                             cfg.get("data", "per_class"), cfg.get("data", "spread"),
-                            seed=_seq(seed, KEY_DATA_TRAIN),
+                            seed=spawn(seed, KEY_DATA_TRAIN),
                             centroid_seed=cfg.get("data", "centroid_seed"))
         test = synth_blobs(cfg.get("data", "num_classes"), cfg.get("data", "n"),
                            cfg.get("data", "per_class_test"), cfg.get("data", "spread"),
-                           seed=_seq(seed, KEY_DATA_TEST),
+                           seed=spawn(seed, KEY_DATA_TEST),
                            centroid_seed=cfg.get("data", "centroid_seed"))
     elif kind == "mnist":
         train, test = _load_mnist(cfg)
@@ -145,7 +142,7 @@ def gan_and_distill_splits(cfg: RunConfig, train: Dataset) -> tuple[Dataset, Dat
     if mode == "same":
         return train, train
     if mode == "disjoint":
-        rng = np.random.default_rng(_seq(cfg.get("run", "seed"), KEY_DATA_SPLIT))
+        rng = np.random.default_rng(spawn(cfg.get("run", "seed"), KEY_DATA_SPLIT))
         order = rng.permutation(len(train))
         order = order[np.argsort(train.labels[order], kind="stable")]
         return train.take(np.sort(order[1::2])), train.take(np.sort(order[0::2]))
@@ -171,7 +168,7 @@ def build_role(cfg: RunConfig, which: str, n: int, num_classes: int) -> Network:
     init_key = {"teacher": INIT_TEACHER, "student": INIT_STUDENT,
                 "generator": INIT_GENERATOR, "discriminator": INIT_DISCRIMINATOR}[which]
     return build_network(_spec(cfg, which, n, num_classes), num_classes,
-                         _seq(cfg.get("run", "seed"), init_key))
+                         spawn(cfg.get("run", "seed"), init_key))
 
 
 class _Run:
@@ -230,7 +227,7 @@ def train_teacher(cfg: RunConfig, train: Dataset, test: Dataset) -> tuple[Networ
         lr = multistep_lr(epoch, cfg.get("teacher", "lr"),
                           list(cfg.get("teacher", "milestones")), cfg.get("teacher", "gamma"))
         opt.lr = lr
-        rng = np.random.default_rng(_seq(seed, KEY_TEACHER_EPOCH, epoch))
+        rng = np.random.default_rng(spawn(seed, KEY_TEACHER_EPOCH, epoch))
         total = 0.0
         idx_batches = batches(train, min(cfg.get("teacher", "m"), len(train)),
                               seed=rng, shuffle=True)
@@ -289,15 +286,14 @@ def generator_fid(cfg: RunConfig, G: Network, real: Dataset, tag: int = 0) -> fl
     classes).
     """
     seed = cfg.get("run", "seed")
-    prior = NoisePrior(cfg.get("gan", "prior"), real.num_classes)
-    rng = np.random.default_rng(_seq(seed, KEY_FID_NOISE, tag))
+    rng = np.random.default_rng(spawn(seed, KEY_FID_NOISE, tag))
     count = min(len(real), FID_ROWS)
-    z = sample_noise(prior, count, rng)
+    z = sample_noise(cfg.get("gan", "prior"), count, G.spec.input_dim, rng)
     with no_grad():
         fake = G(z).data
     reference = real.samples
     if len(real) > FID_ROWS:
-        pick = np.random.default_rng(_seq(seed, KEY_FID_REAL)).choice(
+        pick = np.random.default_rng(spawn(seed, KEY_FID_REAL)).choice(
             len(real), FID_ROWS, replace=False)
         reference = reference[np.sort(pick)]
     return frechet_distance(fake, reference)
@@ -307,7 +303,6 @@ def run_train_gan(cfg: RunConfig, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     run = _Run(cfg, out_dir)
     gan_ds, _ = run.splits()
-    prior = NoisePrior(cfg.get("gan", "prior"), run.train.num_classes)
     snapshots = set(cfg.get("gan", "snapshot_epochs"))
 
     def on_epoch(epoch, G_now, _D, _rows):
@@ -315,7 +310,7 @@ def run_train_gan(cfg: RunConfig, out_dir: str) -> dict:
             checkpoint.save(run.path(f"generator_epoch{epoch:04d}.ckpt"), G_now.state_dict())
 
     G, gan_log = train_gan(run.build("generator"), run.build("discriminator"), gan_ds,
-                           cfg.build("gan"), prior, run.seed, epoch_callback=on_epoch)
+                           cfg.build("gan"), run.seed, epoch_callback=on_epoch)
     checkpoint.save(run.path("generator.ckpt"), G.state_dict())
     _write_log(run.path("gan_log.csv"), ["epoch", "step", "L_D", "L_G", "gp"], gan_log)
     fid = generator_fid(cfg, G, gan_ds)
@@ -421,7 +416,9 @@ def run_eval(cfg: RunConfig, out_dir: str) -> dict:
 
 
 def run_grad_profile(cfg: RunConfig, out_dir: str, samples: int = 8) -> list[list]:
-    """Per-sample logit-gradient profiles for CE / KD / MEKD-L1 / MEKD-L2."""
+    """Per-sample logit-gradient profiles for CE / KD / MEKD-L1 / MEKD-L2.
+
+    kd is the KL at kd_tau; mekd is the configured mekd loss at p_norm 1 and 2."""
     run = _Run(cfg, out_dir)
     blind = BlindTeacher.from_network(run.load("teacher", "teacher.ckpt"))
     G = run.load("generator", "generator.ckpt")
@@ -429,9 +426,9 @@ def run_grad_profile(cfg: RunConfig, out_dir: str, samples: int = 8) -> list[lis
     if os.path.exists(run.path("student_mekd.ckpt")):
         student.load_state_dict(checkpoint.load(run.path("student_mekd.ckpt")))
     kd_tau = cfg.get("distill", "kd_tau")
-    alpha, beta = cfg.get("distill", "alpha"), cfg.get("distill", "beta")
+    mekd = distill_config(cfg, "mekd")
 
-    rng = np.random.default_rng(_seq(run.seed, KEY_PROFILE))
+    rng = np.random.default_rng(spawn(run.seed, KEY_PROFILE))
     picks = rng.choice(len(run.test), size=min(samples, len(run.test)), replace=False)
     label_values = run.test.labels  # ground-truth ordering is part of the figure
     rows = []
@@ -444,8 +441,9 @@ def run_grad_profile(cfg: RunConfig, out_dir: str, samples: int = 8) -> list[lis
             return kld_loss(p_t, ad.softmax(logits), tau=kd_tau)
 
         def mekd_loss(logits, p_norm):
-            dist = generation_distance(G, ad.softmax(logits), p_t, p_norm)
-            return dist * alpha + kld_loss(p_t, ad.softmax(logits), tau=1.0) * beta
+            dist = generation_distance(G, generator_input(ad.softmax(logits), mekd),
+                                       generator_input(ad.constant(p_t), mekd), p_norm)
+            return dist * mekd.alpha + kld_loss(p_t, ad.softmax(logits), mekd.tau) * mekd.beta
 
         evaluators = [
             ("ce", lambda lg: cross_entropy(ad.softmax(lg), [k])),

@@ -27,20 +27,20 @@ _HIDDEN = {
     "sigmoid": ad.sigmoid,
 }
 
-# d activation / d pre-activation as a graph node, from (pre-activation a,
-# activation h): piecewise-linear activations give constant masks, smooth
-# ones are expressed through h and so stay differentiable.
+# d activation / d pre-activation as a graph node, from the activation h:
+# piecewise-linear ones give constant masks (h > 0 exactly where the
+# pre-activation is), smooth ones stay differentiable through h.
 HIDDEN_DERIVATIVE = {
-    "relu": lambda a, h: ad.constant((a.data > 0).astype(float)),
-    "leaky_relu": lambda a, h: ad.constant(np.where(a.data > 0, 1.0, LEAKY_SLOPE)),
-    "tanh": lambda a, h: 1.0 - ad.square(h),
-    "sigmoid": lambda a, h: h * (1.0 - h),
+    "relu": lambda h: ad.constant((h.data > 0).astype(float)),
+    "leaky_relu": lambda h: ad.constant(np.where(h.data > 0, 1.0, LEAKY_SLOPE)),
+    "tanh": lambda h: 1.0 - ad.square(h),
+    "sigmoid": lambda h: h * (1.0 - h),
 }
 
 HIDDEN_ACTIVATIONS = tuple(_HIDDEN)
 
-# Activations whose HIDDEN_DERIVATIVE reads only the pre-activation's sign,
-# so it needs no graph through the hidden pass.
+# Activations whose HIDDEN_DERIVATIVE reads only the activation's sign, so
+# it needs no graph through the hidden pass.
 PIECEWISE_LINEAR = frozenset({"relu", "leaky_relu"})
 
 
@@ -86,7 +86,6 @@ class Network:
             (params[f"layers.{i}.weight"], params[f"layers.{i}.bias"])
             for i in range(len(widths) - 1)
         ]
-        self.frozen = False
 
     # -- plumbing ---------------------------------------------------------
 
@@ -94,7 +93,6 @@ class Network:
         for p in self.params.values():
             p.requires_grad = False
             p.grad = None
-        self.frozen = True
         return self
 
     def state_dict(self) -> dict[str, np.ndarray]:
@@ -114,33 +112,28 @@ class Network:
 
     # -- forward passes ---------------------------------------------------
 
-    def _hidden(self, x) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
-        """Run the hidden layers on a 2-d batch.
-
-        Returns (last activation, hidden), hidden holding each hidden
-        layer's (pre-activation, activation) pair.
-        """
+    def _hidden(self, x) -> list[Tensor]:
+        """Run the hidden layers on a 2-d batch; returns every activation,
+        the input first and the last hidden layer's last."""
         t = x if isinstance(x, Tensor) else ad.constant(x)
         if t.data.ndim != 2 or t.shape[1] != self.spec.input_dim:
             raise ValueError(f"{self.spec.role} expects a (rows, {self.spec.input_dim}) "
                              f"batch, got shape {t.shape}")
         act = _HIDDEN[self.spec.activation]
-        hidden = []
+        hidden = [t]
         for w, b in self.layers[:-1]:
-            a = ad.linear(t, w, b)
-            t = act(a)
-            hidden.append((a, t))
-        return t, hidden
+            hidden.append(act(ad.linear(hidden[-1], w, b)))
+        return hidden
 
     def logits(self, x) -> Tensor:
         """The last layer's affine output: classifier logits, critic score."""
         w, b = self.layers[-1]
-        return ad.linear(self._hidden(x)[0], w, b)
+        return ad.linear(self._hidden(x)[-1], w, b)
 
     def __call__(self, x) -> Tensor:
         # not self.logits(x): the benchmark counts each call of either as one pass
         w, b = self.layers[-1]
-        out = ad.linear(self._hidden(x)[0], w, b)
+        out = ad.linear(self._hidden(x)[-1], w, b)
         if self.spec.role == "classifier":
             return ad.softmax(out)
         if self.spec.role == "discriminator":

@@ -21,7 +21,7 @@ from mekd.config import RunConfig
 from mekd.data import synth_blobs
 from mekd.distill import (BlindTeacher, DistillConfig, distill,
                           generation_distance, kld_loss, student_loss)
-from mekd.gan import NoisePrior, discriminator_loss, generator_loss, sample_noise
+from mekd.gan import discriminator_loss, generator_loss, sample_noise
 from mekd.gradcheck import run_op_suite
 from mekd.metrics import FrechetStats, frechet_distance
 from mekd.nets import Network, NetworkSpec, build_network
@@ -437,8 +437,8 @@ def test_teacher_output_latents_land_near_real_images(pipeline):
         teacher = harness.build_role(cfg, "teacher", train.n, train.num_classes)
         teacher.load_state_dict(load_ckpt(os.path.join(r["out"], "teacher.ckpt")))
 
-        prior = NoisePrior(cfg.get("gan", "prior"), train.num_classes)
-        z = sample_noise(prior, len(real), np.random.default_rng(777 + seed))
+        z = sample_noise(cfg.get("gan", "prior"), len(real), train.num_classes,
+                         np.random.default_rng(777 + seed))
         with no_grad():
             y_teacher = teacher(ad.constant(real)).data
             fake_from_y = G(ad.constant(y_teacher)).data

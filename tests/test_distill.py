@@ -15,7 +15,6 @@ from mekd.distill import (
     kld_loss,
     student_loss,
 )
-from mekd.gan import GanConfig, NoisePrior, train_gan
 from mekd.nets import build_network
 from specs import generator_spec, student_spec, teacher_spec
 
@@ -85,13 +84,14 @@ def test_blind_teacher_cache_transparent():
     assert np.array_equal(cached, raw)
 
 
-def test_blind_teacher_single_row():
-    t = _function_teacher()
+def test_blind_teacher_rejects_input_that_is_not_2d():
     row = np.random.default_rng(2).uniform(size=4)
-    out = t.classify(row)
-    assert out.shape == (3,)
-    assert out.sum() == pytest.approx(1.0, abs=1e-12)
-    assert t.query_count == 1
+    for cache in (True, False):
+        t = _function_teacher(cache=cache)
+        for x in (row, row.reshape(1, 1, 4)):
+            with pytest.raises(ValueError, match="2-d"):
+                t.classify(x)
+        assert t.query_count == 0 and t.cache_hits == 0
 
 
 MALFORMED_ANSWERS = {
@@ -208,6 +208,10 @@ def test_kld_nonnegative_and_shape_checked():
         assert kld_loss(p_t, p_s).item() >= 0.0
     with pytest.raises(ValueError):
         kld_loss(np.ones((1, 3)) / 3, np.ones((1, 4)) / 4)
+    p = np.array([0.2, 0.3, 0.5])
+    for rows in (p, p[None, None]):
+        with pytest.raises(ValueError, match="2-d"):
+            kld_loss(rows, rows)
 
 
 def test_kld_clamps_zero_components():
@@ -269,6 +273,8 @@ def test_distance_validates_inputs():
         generation_distance(G, y, np.ones((3, 3)) / 3, 1)
     with pytest.raises(ValueError):
         generation_distance(G, y, y, 3)
+    with pytest.raises(ValueError, match="2-d"):
+        generation_distance(G, y[0], y[0], 1)
 
 
 def test_distance_accepts_callable_generator():
@@ -343,17 +349,20 @@ def test_student_loss_requires_generator_when_alpha_positive():
 
 
 def test_student_loss_gen_tau_scales_both_feeds():
-    # with gen_input=logits and gen_tau=t, both log-prob feeds divide by t,
-    # so a student matching the teacher still gives zero distance
+    # with gen_input=logits and gen_tau=t, both log-prob feeds go through one
+    # function, so a student matching the teacher gives exactly zero distance,
+    # also where 1/t is not exact
     num_classes, n = 3, 4
     net = build_network(student_spec(n, num_classes), num_classes, seed=6)
     twin = build_network(student_spec(n, num_classes), num_classes, seed=6)
     teacher = BlindTeacher.from_network(twin)
     G = _frozen_generator(num_classes, n)
     x = np.random.default_rng(12).uniform(size=(4, n))
-    cfg = DistillConfig(gen_input="logits", gen_tau=4.0, beta=0.0, alpha=1.0)
-    total, _ = student_loss(net, teacher, G, x, cfg)
-    assert abs(total.item()) <= 1e-9
+    for gen_tau in (4.0, 3.0):
+        cfg = DistillConfig(gen_input="logits", gen_tau=gen_tau, beta=0.0, alpha=1.0)
+        total, parts = student_loss(net, teacher, G, x, cfg)
+        assert parts["distance"] == 0.0
+        assert total.item() == 0.0
 
 
 # -- config validation ------------------------------------------------------

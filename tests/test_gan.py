@@ -6,7 +6,6 @@ from mekd.autodiff import Tensor
 from mekd.data import synth_blobs
 from mekd.gan import (
     GanConfig,
-    NoisePrior,
     discriminator_loss,
     generator_loss,
     gradient_penalty,
@@ -50,33 +49,34 @@ def _constant_generator(target, output_range=(-60.0, 60.0), n_out=1):
 
 def test_noise_prior_validation():
     with pytest.raises(ValueError):
-        NoisePrior(kind="cauchy", dim=4)
+        sample_noise("cauchy", 2, 4, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        NoisePrior(kind="gaussian", dim=1)
+        sample_noise("gaussian", 2, 1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="prior"):
+        GanConfig(prior="cauchy")
 
 
 def test_sample_noise_shape_and_determinism():
-    prior = NoisePrior("gaussian", 4)
-    a = sample_noise(prior, 2, np.random.default_rng(3))
-    b = sample_noise(prior, 2, np.random.default_rng(3))
+    a = sample_noise("gaussian", 2, 4, np.random.default_rng(3))
+    b = sample_noise("gaussian", 2, 4, np.random.default_rng(3))
     assert a.shape == (2, 4)
     assert np.array_equal(a, b)
 
 
 def test_gaussian_noise_moments():
-    draws = sample_noise(NoisePrior("gaussian", 4), 100_000, np.random.default_rng(0))
+    draws = sample_noise("gaussian", 100_000, 4, np.random.default_rng(0))
     assert np.all(np.abs(draws.mean(axis=0)) < 0.02)
     assert np.all(np.abs(draws.var(axis=0) - 1.0) < 0.05)
 
 
 def test_uniform_noise_bounds():
-    draws = sample_noise(NoisePrior("uniform", 3), 10_000, np.random.default_rng(1))
+    draws = sample_noise("uniform", 10_000, 3, np.random.default_rng(1))
     assert draws.min() >= -1.0 and draws.max() <= 1.0
     assert np.all(np.abs(draws.mean(axis=0)) < 0.05)
 
 
 def test_dirichlet_noise_on_simplex():
-    draws = sample_noise(NoisePrior("simplex-dirichlet", 5), 1000, np.random.default_rng(2))
+    draws = sample_noise("simplex-dirichlet", 1000, 5, np.random.default_rng(2))
     assert np.all(draws >= 0)
     assert np.allclose(draws.sum(axis=1), 1.0, atol=1e-12)
 
@@ -311,26 +311,24 @@ def _tiny_setup(variant="vanilla", epochs=2, **overrides):
     kwargs = {"m": 8, "epochs": epochs, "variant": variant,
               "lr_G": 0.05, "lr_D": 0.05}
     kwargs.update(overrides)
-    cfg = GanConfig(**kwargs)
-    prior = NoisePrior("gaussian", 2)
-    return ds, G, D, cfg, prior
+    return ds, G, D, GanConfig(**kwargs)
 
 
 def test_train_gan_zero_epochs_is_noop():
-    ds, G, D, cfg, prior = _tiny_setup(epochs=0)
+    ds, G, D, cfg = _tiny_setup(epochs=0)
     before = G.state_dict()
-    trained, log = train_gan(G, D, ds, cfg, prior, seed=0)
+    trained, log = train_gan(G, D, ds, cfg, seed=0)
     assert log == []
     after = trained.state_dict()
     assert all(np.array_equal(before[k], after[k]) for k in before)
-    assert trained.frozen
+    assert not any(p.requires_grad for p in trained.params.values())
 
 
 def test_train_gan_deterministic():
     results = []
     for _ in range(2):
-        ds, G, D, cfg, prior = _tiny_setup(epochs=2)
-        trained, log = train_gan(G, D, ds, cfg, prior, seed=3)
+        ds, G, D, cfg = _tiny_setup(epochs=2)
+        trained, log = train_gan(G, D, ds, cfg, seed=3)
         results.append((trained.state_dict(), log))
     state_a, log_a = results[0]
     state_b, log_b = results[1]
@@ -339,12 +337,22 @@ def test_train_gan_deterministic():
 
 
 def test_train_gan_seed_changes_outcome():
-    ds, G, D, cfg, prior = _tiny_setup(epochs=1)
-    a, _ = train_gan(G, D, ds, cfg, prior, seed=0)
-    ds2, G2, D2, cfg2, prior2 = _tiny_setup(epochs=1)
-    b, _ = train_gan(G2, D2, ds2, cfg2, prior2, seed=1)
+    ds, G, D, cfg = _tiny_setup(epochs=1)
+    a, _ = train_gan(G, D, ds, cfg, seed=0)
+    ds2, G2, D2, cfg2 = _tiny_setup(epochs=1)
+    b, _ = train_gan(G2, D2, ds2, cfg2, seed=1)
     assert any(not np.array_equal(a.state_dict()[k], b.state_dict()[k])
                for k in a.state_dict())
+
+
+def test_train_gan_reads_the_config_prior():
+    # the noise prior is GanConfig.prior and nothing else
+    trained = []
+    for prior in ("gaussian", "uniform"):
+        ds, G, D, cfg = _tiny_setup(variant="wgan-gp", epochs=2, prior=prior)
+        trained.append(train_gan(G, D, ds, cfg, seed=0)[0].state_dict())
+    a, b = trained
+    assert any(not np.array_equal(a[k], b[k]) for k in a)
 
 
 def test_train_gan_latent_dimension_contract():
@@ -352,13 +360,7 @@ def test_train_gan_latent_dimension_contract():
     G = build_network(generator_spec(3, 4), 3, seed=1)  # latent 3 vs C=2
     D = build_network(discriminator_spec(4), 2, seed=2)
     with pytest.raises(ValueError, match="latent"):
-        train_gan(G, D, ds, GanConfig(m=4, epochs=1), NoisePrior("gaussian", 3), seed=0)
-
-
-def test_train_gan_prior_dim_contract():
-    ds, G, D, cfg, prior = _tiny_setup()
-    with pytest.raises(ValueError, match="prior"):
-        train_gan(G, D, ds, cfg, NoisePrior("gaussian", 4), seed=0)
+        train_gan(G, D, ds, GanConfig(m=4, epochs=1), seed=0)
 
 
 def test_train_gan_output_width_contract():
@@ -366,18 +368,18 @@ def test_train_gan_output_width_contract():
     G = build_network(generator_spec(2, 9), 2, seed=1)
     D = build_network(discriminator_spec(4), 2, seed=2)
     with pytest.raises(ValueError, match="output width"):
-        train_gan(G, D, ds, GanConfig(m=4, epochs=1), NoisePrior("gaussian", 2), seed=0)
+        train_gan(G, D, ds, GanConfig(m=4, epochs=1), seed=0)
 
 
 def test_train_gan_role_contract():
-    ds, G, D, cfg, prior = _tiny_setup()
+    ds, G, D, cfg = _tiny_setup()
     with pytest.raises(ValueError):
-        train_gan(D, D, ds, cfg, prior, seed=0)
+        train_gan(D, D, ds, cfg, seed=0)
 
 
 def test_train_gan_freeze_contract():
-    ds, G, D, cfg, prior = _tiny_setup(epochs=1)
-    trained, _ = train_gan(G, D, ds, cfg, prior, seed=0)
+    ds, G, D, cfg = _tiny_setup(epochs=1)
+    trained, _ = train_gan(G, D, ds, cfg, seed=0)
     z = Tensor(np.random.default_rng(0).standard_normal((3, 2)), requires_grad=True)
     trained(z).sum().backward()
     assert z.grad is not None
@@ -385,8 +387,8 @@ def test_train_gan_freeze_contract():
 
 
 def test_train_gan_log_rows_schema_and_gp():
-    ds, G, D, cfg, prior = _tiny_setup(variant="wgan-gp", epochs=1, lr_G=0.01, lr_D=0.01)
-    _, log = train_gan(G, D, ds, cfg, prior, seed=0)
+    ds, G, D, cfg = _tiny_setup(variant="wgan-gp", epochs=1, lr_G=0.01, lr_D=0.01)
+    _, log = train_gan(G, D, ds, cfg, seed=0)
     assert len(log) == 2  # 16 samples / batch 8 -> 2 outer iterations with k=1
     for i, row in enumerate(log):
         assert row["epoch"] == 0 and row["step"] == i
@@ -395,34 +397,34 @@ def test_train_gan_log_rows_schema_and_gp():
 
 
 def test_train_gan_vanilla_logs_zero_gp():
-    ds, G, D, cfg, prior = _tiny_setup(variant="vanilla", epochs=1)
-    _, log = train_gan(G, D, ds, cfg, prior, seed=0)
+    ds, G, D, cfg = _tiny_setup(variant="vanilla", epochs=1)
+    _, log = train_gan(G, D, ds, cfg, seed=0)
     assert all(row["gp"] == 0.0 for row in log)
 
 
 def test_train_gan_k_groups_batches():
-    ds, G, D, _, prior = _tiny_setup()
+    ds, G, D, _ = _tiny_setup()
     cfg = GanConfig(m=4, k=2, epochs=1, lr_G=0.05, lr_D=0.05)
-    _, log = train_gan(G, D, ds, cfg, prior, seed=0)
+    _, log = train_gan(G, D, ds, cfg, seed=0)
     # 16 samples / batch 4 -> 4 batches -> 2 groups of k=2
     assert len(log) == 2
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_gan_divergence_reports_epoch():
-    ds, G, D, _, prior = _tiny_setup()
+    ds, G, D, _ = _tiny_setup()
     cfg = GanConfig(m=8, epochs=50, variant="wgan-gp", lr_G=1e12, lr_D=1e12,
                     momentum=0.0, clip_norm=0.0)
     with pytest.raises(TrainingDiverged, match="epoch"):
-        train_gan(G, D, ds, cfg, prior, seed=0)
+        train_gan(G, D, ds, cfg, seed=0)
 
 
 def test_logged_losses_recomputable_from_initial_checkpoint():
     # replaying epoch 0 from the saved initial parameters with fresh optimizers
     # reproduces the logged loss values exactly
-    ds, G, D, cfg, prior = _tiny_setup(epochs=1)
+    ds, G, D, cfg = _tiny_setup(epochs=1)
     g_init, d_init = G.state_dict(), D.state_dict()
-    _, log = train_gan(G, D, ds, cfg, prior, seed=5)
+    _, log = train_gan(G, D, ds, cfg, seed=5)
 
     G2 = build_network(generator_spec(2, 4), 2, seed=99)
     D2 = build_network(discriminator_spec(4), 2, seed=99)
@@ -432,7 +434,7 @@ def test_logged_losses_recomputable_from_initial_checkpoint():
                 momentum=cfg.momentum, clip_norm=cfg.clip_norm)
     opt_D = SGD(D2.params, multistep_lr(0, cfg.lr_D, cfg.milestones, cfg.gamma),
                 momentum=cfg.momentum, clip_norm=cfg.clip_norm)
-    replayed = run_gan_epoch(G2, D2, ds, cfg, prior, seed=5, epoch=0,
+    replayed = run_gan_epoch(G2, D2, ds, cfg, seed=5, epoch=0,
                              opt_G=opt_G, opt_D=opt_D)
     assert len(replayed) == len(log)
     for got, want in zip(replayed, log):

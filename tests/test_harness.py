@@ -8,12 +8,15 @@ import sys
 import numpy as np
 import pytest
 
+from mekd import autodiff as ad
 from mekd import gan as gan_module
 from mekd import harness
+from mekd.autodiff import no_grad
 from mekd.checkpoint import load as load_ckpt
 from mekd.cli import main
 from mekd.config import ConfigError, RunConfig
-from mekd.gan import NoisePrior
+from mekd.distill import generation_distance, kld_loss
+from mekd.metrics import record_logit_gradients
 from mekd.optim import TrainingDiverged
 
 TINY_INI = """\
@@ -251,8 +254,7 @@ def test_gan_config_mapping(tiny_cfg, monkeypatch):
         seen.append(kwargs["clip_norm"])
         return real_sgd(*args, **kwargs)
     monkeypatch.setattr(gan_module, "SGD", spy)
-    gan_module.train_gan(G, D, train, dataclasses.replace(disabled, epochs=0),
-                         NoisePrior("gaussian", train.num_classes), seed=0)
+    gan_module.train_gan(G, D, train, dataclasses.replace(disabled, epochs=0), seed=0)
     assert seen == [None, None]  # 0 means no clipping
 
 
@@ -457,6 +459,43 @@ def test_run_grad_profile_outputs(tiny_cfg, tmp_path):
     assert all(len(row) == 3 + 3 for row in rows)  # id cols + C gradient values
     header = open(os.path.join(out, "gradient_profiles.csv")).readline().strip()
     assert header == "evaluator,sample_index,true_class,g0,g1,g2"
+
+
+@pytest.mark.parametrize("gen_input", ["probs", "logits"])
+def test_run_grad_profile_mekd_rows_follow_the_distill_config(tiny_cfg, tmp_path, gen_input):
+    # the mekd rows differentiate the loss that mekd trains: [distill] tau
+    # and the generator feed are read, not fixed at tau 1 and raw probabilities
+    out = str(tmp_path / "run")
+    _run_pipeline(tiny_cfg, out)
+    cfg = tiny_cfg.replace("distill", "tau", 2.0).replace("distill", "gen_input", gen_input)
+    cfg = cfg.replace("distill", "gen_tau", 3.0 if gen_input == "logits" else 1.0)
+    rows = harness.run_grad_profile(cfg, out, samples=2)
+    run = harness._Run(cfg, out)
+    teacher = run.load("teacher", "teacher.ckpt")
+    G = run.load("generator", "generator.ckpt")
+    student = run.build("student")
+    student.load_state_dict(load_ckpt(run.path("student_mekd.ckpt")))
+
+    def feed(p):
+        return p if gen_input == "probs" else ad.log(ad.clip(p, 1e-12, 1.0)) * (1.0 / 3.0)
+
+    checked = 0
+    for name, i, k, *profile in rows:
+        if name != "mekd-l1":
+            continue
+        x = run.test.samples[i]
+        with no_grad():
+            p_t = teacher(x[None]).data
+
+        def loss(logits):
+            p_s = ad.softmax(logits)
+            dist = generation_distance(G, feed(p_s), feed(ad.constant(p_t)), 1)
+            return dist + kld_loss(p_t, p_s, tau=2.0)
+
+        want = record_logit_gradients(student, loss, x, k)
+        assert profile == pytest.approx(list(want), rel=1e-9, abs=1e-12)
+        checked += 1
+    assert checked == 2
 
 
 def test_stages_load_datasets_once_and_split_only_on_demand(tiny_cfg, tmp_path, monkeypatch):

@@ -1,7 +1,9 @@
 import importlib
+import inspect
+from pathlib import Path
 
 import mekd
-from mekd import gan, harness
+from mekd import data, gan, harness
 
 # the package's `distill` attribute is the function, not the module
 distill = importlib.import_module("mekd.distill")
@@ -15,10 +17,20 @@ def test_all_names_resolve():
 def test_spawn_key_families_are_distinct():
     # each family is the first element of the spawn keys it seeds
     families = {f"{module.__name__}.{name}": value
-                for module in (harness, gan, distill)
+                for module in (harness, data, gan, distill)
                 for name, value in vars(module).items()
                 if name.startswith(("KEY_", "INIT_"))}
     assert {"mekd.gan.KEY_GAN_EPOCH", "mekd.distill.KEY_DISTILL_EPOCH",
-            "mekd.harness.KEY_DATA_TRAIN", "mekd.harness.INIT_TEACHER"} <= set(families)
+            "mekd.harness.KEY_DATA_TRAIN", "mekd.harness.INIT_TEACHER",
+            "mekd.data.KEY_BLOB_CENTROIDS", "mekd.data.KEY_BLOB_NOISE"} <= set(families)
     assert all(isinstance(value, int) for value in families.values())
     assert len(set(families.values())) == len(families), families
+
+
+def test_seed_sequences_come_only_from_spawn():
+    # one seed derivation: no module of the package builds a SeedSequence itself
+    spawn_source = inspect.getsource(data.spawn)
+    assert "SeedSequence(" in spawn_source
+    found = [path.name for path in sorted(Path(mekd.__file__).parent.glob("*.py"))
+             if "SeedSequence(" in path.read_text(encoding="utf-8").replace(spawn_source, "")]
+    assert not found
