@@ -37,7 +37,17 @@ order.
 
 Values are checked for NaN/Inf as they are produced; a non-finite
 result raises :class:`NonFiniteError` naming the operation instead of
-propagating silently.
+propagating silently.  A leaf is checked when it is made, and so is the
+output of every op except ``relu``, ``tanh``, ``sigmoid``, ``softmax`` and
+``abs``: their output is finite for every finite input, and every input was
+itself checked when it was made.  (An optimizer step updates a parameter in
+place unchecked, but a network feeds its parameters only to the checked
+``linear``.)  One check is one BLAS dot of the values
+with themselves: a finite sum of squares proves every value finite, and
+only a non-finite one (or an overflowing one of finite values) pays the
+elementwise ``isfinite`` pass.  ``leaky_relu`` stays checked because its
+``alpha`` is unbounded, and ``clip`` because its bounds may be NaN or
+infinite.
 """
 
 from __future__ import annotations
@@ -85,7 +95,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
-        if not np.isfinite(self.data).all():
+        if not _finite(self.data):
             raise NonFiniteError("leaf")
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
@@ -191,11 +201,22 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _finite(data: np.ndarray) -> bool:
+    """Whether every value of data is finite."""
+    # A finite sum of squares proves every value finite; only a non-finite
+    # one (or one that overflows on finite values) needs the elementwise
+    # pass.  vdot, unlike matmul, raises no overflow warning.
+    return math.isfinite(np.vdot(data, data)) or bool(np.isfinite(data).all())
+
+
+# Ops whose output is finite for every finite input, so _result skips their
+# check: every input was checked when it was made.
+_ALWAYS_FINITE = frozenset({"relu", "tanh", "sigmoid", "softmax", "abs"})
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], op: str, grads: tuple) -> Tensor:
     """The output node of ``op``; ``grads[i]`` maps its gradient to ``parents[i]``'s."""
-    # A finite sum proves every value finite; only a non-finite one (or an
-    # overflowing sum of finite values) needs the elementwise check.
-    if not math.isfinite(data.sum()) and not np.isfinite(data).all():
+    if op not in _ALWAYS_FINITE and not _finite(data):
         raise NonFiniteError(op)
     out = Tensor.__new__(Tensor)
     out.data = data

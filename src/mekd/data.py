@@ -39,8 +39,9 @@ class Dataset:
         if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
             raise ValueError("label outside [0, num_classes)")
         lo, hi = value_range
-        if samples.size and (samples.min() < lo - 1e-9 or samples.max() > hi + 1e-9):
-            raise ValueError(f"sample values outside declared range [{lo}, {hi}]")
+        # Written as "not inside" so NaN (for which every comparison is False) fails.
+        if samples.size and not (samples.min() >= lo - 1e-9 and samples.max() <= hi + 1e-9):
+            raise ValueError(f"sample values non-finite or outside declared range [{lo}, {hi}]")
         samples.setflags(write=False)
         labels.setflags(write=False)
         self._samples = samples

@@ -42,6 +42,10 @@ class BlindTeacher:
     Every answer is checked to be one finite, non-negative row summing to
     1 per query row; a malformed answer raises TeacherAnswerError and none
     of its rows is cached.
+
+    The cache maps a row's exact float64 bytes (so -0.0 and +0.0 are two
+    rows) to its row of one answer table, which grows by doubling.  A
+    batch is answered by one gather from that table into a fresh array.
     """
 
     def __init__(self, classify_fn, num_classes: int, cache: bool = True):
@@ -51,7 +55,8 @@ class BlindTeacher:
         self.num_classes = int(num_classes)
         self.query_count = 0
         self.cache_hits = 0
-        self._cache: dict[bytes, np.ndarray] | None = {} if cache else None
+        self._cache: dict[bytes, int] | None = {} if cache else None  # row bytes -> table row
+        self._table = np.empty((0, self.num_classes))
 
     @classmethod
     def from_network(cls, net: Network, cache: bool = True) -> "BlindTeacher":
@@ -79,23 +84,36 @@ class BlindTeacher:
 
     def classify(self, x: np.ndarray) -> np.ndarray:
         rows = np.asarray(x, dtype=np.float64)
-        if rows.ndim != 2:
-            raise ValueError(f"the teacher answers a 2-d batch of rows, got shape {rows.shape}")
+        if rows.ndim != 2 or not rows.shape[1]:
+            raise ValueError(f"the teacher answers a 2-d batch of non-empty rows, "
+                             f"got shape {rows.shape}")
+        if not len(rows):
+            return np.empty((0, self.num_classes))
         if self._cache is None:
-            out = self._ask(rows)
-        else:
-            keys = [row.tobytes() for row in rows]
-            misses: dict[bytes, int] = {}  # each missing row's first index, in order
-            for i, key in enumerate(keys):
-                if key not in self._cache:
+            return self._ask(rows)
+        row_bytes = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+        keys = np.ascontiguousarray(rows).view(row_bytes).ravel().tolist()
+        found = list(map(self._cache.get, keys))
+        misses: dict[bytes, int] = {}  # each missing row's first index, in order
+        if None in found:
+            for i, (key, j) in enumerate(zip(keys, found)):
+                if j is None:
                     misses.setdefault(key, i)
-            if misses:
-                self._cache.update(zip(misses, self._ask(rows[list(misses.values())])))
-            self.cache_hits += len(rows) - len(misses)
-            out = np.empty((len(rows), self.num_classes))
-            for i, key in enumerate(keys):
-                out[i] = self._cache[key]
-        return out
+            self._store(misses, self._ask(rows[list(misses.values())]))
+            found = list(map(self._cache.get, keys))
+        self.cache_hits += len(rows) - len(misses)
+        return self._table.take(found, axis=0)
+
+    def _store(self, keys, answer: np.ndarray) -> None:
+        """Append answer's rows to the table under keys, doubling it when full."""
+        start = len(self._cache)
+        end = start + len(answer)
+        if end > len(self._table):
+            table = np.empty((max(end, 2 * len(self._table)), self.num_classes))
+            table[:start] = self._table[:start]
+            self._table = table
+        self._table[start:end] = answer
+        self._cache.update(zip(keys, range(start, end)))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,9 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mekd import autodiff as ad
 from mekd.autodiff import NonFiniteError, Tensor, no_grad
@@ -87,6 +90,70 @@ def test_log_of_zero_raises():
 def test_nonfinite_leaf_rejected():
     with pytest.raises(NonFiniteError):
         Tensor([np.nan])
+
+
+# -- the finiteness check ---------------------------------------------------
+
+
+def _extremes(dtype) -> list[float]:
+    """±max, the smallest subnormals, ±0.0 and a value whose square overflows."""
+    info = np.finfo(dtype)
+    tiny = float(info.smallest_subnormal)
+    return [float(info.max), -float(info.max), tiny, -tiny, 0.0, -0.0, float(info.max) / 3]
+
+
+def _floats(dtype):
+    width = np.finfo(dtype).bits
+    finite = st.floats(allow_nan=False, allow_infinity=False, width=width)
+    return finite | st.sampled_from(_extremes(dtype))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_finite_agrees_with_isfinite(data):
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    shape = data.draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5))
+    a = data.draw(hnp.arrays(dtype, shape, elements=_floats(dtype)))
+    flat = a.reshape(-1)
+    if flat.size:
+        spots = st.integers(0, flat.size - 1)
+        for i, v in data.draw(st.lists(st.tuples(spots, st.sampled_from([np.nan, np.inf, -np.inf])),
+                                       max_size=3)):
+            flat[i] = v
+    view = data.draw(st.sampled_from(["whole", "transposed", "strided"]))
+    if view == "transposed":
+        a = a.T
+    elif view == "strided" and a.ndim:
+        a = a[..., ::2]
+    assert ad._finite(a) == bool(np.isfinite(a).all())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_finite_values_whose_squares_overflow_pass_without_warning(dtype):
+    a = np.array(_extremes(dtype), dtype=dtype)
+    assert ad._finite(a)
+    assert np.array_equal(Tensor(a).data, a)
+
+
+UNCHECKED_OPS = {"relu": ad.relu, "tanh": ad.tanh, "sigmoid": ad.sigmoid,
+                 "softmax": ad.softmax, "abs": ad.absolute}
+
+
+def test_unchecked_ops_are_exactly_the_always_finite_ones():
+    assert ad._ALWAYS_FINITE == frozenset(UNCHECKED_OPS)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # softmax's shift of ±max
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_unchecked_ops_keep_finite_input_finite(data):
+    op = data.draw(st.sampled_from(sorted(UNCHECKED_OPS)))
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    shape = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 5)))
+    a = data.draw(hnp.arrays(dtype, shape, elements=_floats(dtype)))
+    out = UNCHECKED_OPS[op](Tensor(a, requires_grad=data.draw(st.booleans())))
+    assert out.op == op and np.isfinite(out.data).all()
 
 
 def test_no_grad_prunes_graph():

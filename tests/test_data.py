@@ -73,6 +73,14 @@ def test_dataset_validates_inputs():
         Dataset(np.zeros((2, 4)), np.array([0, 1]), num_classes=1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_samples(bad):
+    # NaN compares False with both bounds, so a "min < lo or max > hi"
+    # range check lets it through.
+    with pytest.raises(ValueError, match="non-finite"):
+        Dataset(np.array([[0.5, bad], [0.1, 0.2]]), np.array([0, 1]), 2)
+
+
 def test_dataset_samples_are_read_only():
     ds = Dataset(np.zeros((2, 4)), np.array([0, 1]), num_classes=2)
     with pytest.raises(ValueError):

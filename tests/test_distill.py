@@ -94,6 +94,74 @@ def test_blind_teacher_rejects_input_that_is_not_2d():
         assert t.query_count == 0 and t.cache_hits == 0
 
 
+@pytest.mark.parametrize("cache", [True, False])
+def test_blind_teacher_rejects_zero_width_rows(cache):
+    t = _function_teacher(cache=cache)
+    with pytest.raises(ValueError, match="non-empty rows"):
+        t.classify(np.zeros((3, 0)))
+    assert t.query_count == 0 and t.cache_hits == 0
+
+
+@pytest.mark.parametrize("cache", [True, False])
+def test_blind_teacher_answers_do_not_alias_each_other(cache):
+    t = _function_teacher(cache=cache)
+    x = np.random.default_rng(5).uniform(size=(3, 4))
+    expected = t.classify(x).copy()
+    for _ in range(2):
+        out = t.classify(x)
+        assert np.array_equal(out, expected)
+        out[...] = -1.0
+
+
+@pytest.mark.parametrize("cache", [True, False])
+def test_blind_teacher_empty_batch_asks_nothing(cache):
+    asked = []
+
+    def classify_fn(x):
+        asked.append(x)
+        return np.full((len(x), 3), 1.0 / 3.0)
+
+    t = BlindTeacher(classify_fn, 3, cache=cache)
+    out = t.classify(np.zeros((0, 4)))
+    assert out.shape == (0, 3)
+    assert asked == [] and t.query_count == 0 and t.cache_hits == 0
+
+
+@pytest.mark.parametrize("cache", [True, False])
+def test_blind_teacher_float32_rows_hit_their_float64_copies(cache):
+    x = np.random.default_rng(6).uniform(size=(5, 4)).astype(np.float32)
+    t = _function_teacher(cache=cache)
+    wide = t.classify(x.astype(np.float64))
+    assert np.array_equal(t.classify(x), wide)
+    assert (t.query_count, t.cache_hits) == ((5, 5) if cache else (10, 0))
+
+
+@pytest.mark.parametrize("cache", [True, False])
+def test_blind_teacher_keys_rows_by_exact_bytes(cache):
+    # -0.0 == 0.0, but the rows' bytes differ: two queries, not one.
+    t = _function_teacher(cache=cache)
+    t.classify(np.array([[0.0, 0.5, 0.5, 0.5], [-0.0, 0.5, 0.5, 0.5]]))
+    assert (t.query_count, t.cache_hits) == (2, 0)
+
+
+def test_blind_teacher_cache_answers_stay_right_as_the_table_grows():
+    answered = {}  # row bytes -> the answer row it got when first asked
+    w = np.random.default_rng(8).standard_normal((4, 3))
+
+    def classify_fn(x):
+        out = _softmax_np(x @ w)
+        answered.update(zip((row.tobytes() for row in x), out))
+        return out
+
+    x = np.random.default_rng(7).uniform(size=(40, 4))
+    t = BlindTeacher(classify_fn, 3, cache=True)
+    for stop in (1, 2, 3, 7, 8, 20, 40):
+        t.classify(x[:stop])
+    assert t.query_count == 40
+    expected = np.array([answered[row.tobytes()] for row in x[::-1]])
+    assert np.array_equal(t.classify(x[::-1]), expected)
+
+
 MALFORMED_ANSWERS = {
     "missing_row": lambda x: np.full((len(x) - 1, 3), 1.0 / 3.0),
     "wrong_width": lambda x: np.full((len(x), 2), 0.5),
