@@ -409,7 +409,11 @@ def reduce_sum(a: Tensor, axis=None) -> Tensor:
 
     def grad(g):
         g = _unreduce(g, axis)
-        return np.broadcast_to(g, a.shape).copy() if g.shape != a.shape else g
+        if g.shape == a.shape:
+            return g
+        out = np.empty(a.shape, g.dtype)
+        out[...] = g  # one broadcast pass, no intermediate view copy
+        return out
 
     return _result(np.asarray(data), (a,), "sum", (grad,))
 
@@ -419,4 +423,5 @@ def reduce_mean(a: Tensor, axis=None) -> Tensor:
     data = a.data.mean(axis=axis)
     count = a.data.size if axis is None else a.shape[axis]
     return _result(np.asarray(data), (a,), "mean",
-                   (lambda g: np.broadcast_to(_unreduce(g, axis), a.shape) / count,))
+                   (lambda g: np.divide(_unreduce(g, axis), count,
+                                        out=np.empty(a.shape, g.dtype)),))

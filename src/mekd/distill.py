@@ -10,11 +10,25 @@ over the batch; :func:`generator_input` feeds both sides' 2-d probability
 batches to G.  The baseline kd method is the same loop with alpha = 0
 and tau = kd_tau (see ``harness.distill_config``), so kd and mekd differ
 in both the distance weight and the KL temperature.
+
+The teacher and the generator are frozen, so the teacher's half of the
+loss (:class:`TeacherSide`: G's image of the answer's feed, and the KL's
+re-softened, clamped teacher probabilities with their log) is a function
+of the answer row alone.  :func:`distill` keeps one
+:class:`TeacherSideTable` per call, keyed by the exact bytes of each
+answer row, and serves a full batch whose answers are all stored with one
+gather instead of recomputing them.  A stored row was computed in a full
+batch of the same shape as the batch it serves, and every step of
+:func:`teacher_side` computes a row's values independently of its position
+and of the other rows at a fixed batch shape (elementwise ops, row-wise
+reductions, and BLAS products, which tests/test_distill.py checks), so a
+gathered row equals the recomputed one bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +41,12 @@ from .optim import SGD, TrainingDiverged, multistep_lr
 
 GEN_INPUTS = ("probs", "logits")
 KEY_DISTILL_EPOCH = 31  # spawn key (31, epoch) of each epoch's shuffle
+
+
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """Each row's exact bytes (so -0.0 and +0.0 give two keys)."""
+    row_bytes = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+    return np.ascontiguousarray(rows).view(row_bytes).ravel().tolist()
 
 
 class TeacherAnswerError(ValueError):
@@ -91,8 +111,7 @@ class BlindTeacher:
             return np.empty((0, self.num_classes))
         if self._cache is None:
             return self._ask(rows)
-        row_bytes = np.dtype((np.void, rows.itemsize * rows.shape[1]))
-        keys = np.ascontiguousarray(rows).view(row_bytes).ravel().tolist()
+        keys = _row_keys(rows)
         found = list(map(self._cache.get, keys))
         misses: dict[bytes, int] = {}  # each missing row's first index, in order
         if None in found:
@@ -170,14 +189,31 @@ def _resoften(p: Tensor, tau: float) -> Tensor:
     return ad.softmax(logp * (1.0 / tau))
 
 
-def kld_loss(p_t, p_s, tau: float = 1.0) -> Tensor:
-    """Batch-mean KL(p_t || p_s), components clamped at 1e-12."""
-    p_t, p_s = _pair(p_t, p_s)
+def kl_teacher_terms(p_t, tau: float) -> tuple[Tensor, Tensor]:
+    """kld_loss's teacher terms: p_t re-softened at tau (when tau != 1),
+    clamped at 1e-12, and its log."""
     if tau != 1.0:
-        p_t, p_s = _resoften(p_t, tau), _resoften(p_s, tau)
+        p_t = _resoften(p_t, tau)
     p_t = ad.clip(p_t, PROB_FLOOR, 1.0)
+    return p_t, ad.log(p_t)
+
+
+def kld_loss(p_t, p_s, tau: float = 1.0, terms_t=None) -> Tensor:
+    """Batch-mean KL(p_t || p_s), components clamped at 1e-12.
+
+    terms_t, when given, is ``kl_teacher_terms(p_t, tau)`` already computed
+    (tensors or arrays), and p_t is not read.
+    """
+    if terms_t is None:
+        p_t, p_s = _pair(p_t, p_s)
+        terms_t = kl_teacher_terms(p_t, tau)
+    q, log_q = terms_t
+    q, p_s = _pair(q, p_s)
+    log_q = log_q if isinstance(log_q, Tensor) else ad.constant(log_q)
+    if tau != 1.0:
+        p_s = _resoften(p_s, tau)
     p_s = ad.clip(p_s, PROB_FLOOR, 1.0)
-    per_row = (p_t * (ad.log(p_t) - ad.log(p_s))).sum(axis=1)
+    per_row = (q * (log_q - ad.log(p_s))).sum(axis=1)
     return per_row.mean()
 
 
@@ -191,16 +227,26 @@ def generator_input(p: Tensor, cfg: DistillConfig) -> Tensor:
     return y if cfg.gen_tau == 1.0 else y * (1.0 / cfg.gen_tau)
 
 
-def generation_distance(generator, y_s, y_t, p_norm: int) -> Tensor:
+def teacher_image(generator, y_t) -> Tensor:
+    """G's image of the teacher's feed y_t, which is taken as a constant."""
+    return generator(ad.constant(y_t.data if isinstance(y_t, Tensor) else y_t))
+
+
+def generation_distance(generator, y_s, y_t, p_norm: int, image_t=None) -> Tensor:
     """Batch-mean per-image distance between G(y_s) and G(y_t).
 
     Per image the distance is (mean_j |d_j|^p)^(1/p); gradient flows only
-    into y_s's producer (y_t is treated as a constant).
+    into y_s's producer (y_t is treated as a constant).  image_t, when
+    given, is ``teacher_image(generator, y_t)`` already computed (a tensor
+    or an array), and y_t is not read.
     """
     if p_norm not in (1, 2):
         raise ValueError(f"p_norm must be 1 or 2, got {p_norm}")
-    y_s, y_t = _pair(y_s, ad.constant(y_t.data if isinstance(y_t, Tensor) else y_t))
-    diff = generator(y_s) - generator(y_t)
+    if image_t is None:
+        y_s, y_t = _pair(y_s, y_t)
+        image_t = teacher_image(generator, y_t)
+    image_s, image_t = _pair(generator(y_s), image_t)
+    diff = image_s - image_t
     if p_norm == 1:
         per_image = ad.absolute(diff).mean(axis=1)
     else:
@@ -208,27 +254,116 @@ def generation_distance(generator, y_s, y_t, p_norm: int) -> Tensor:
     return per_image.mean()
 
 
+class TeacherSide(NamedTuple):
+    """The teacher's half of student_loss for a batch of answer rows.
+
+    image is G's image of the answers' generator feed (None when alpha is
+    0); p and log_p are kld_loss's teacher terms (None when beta is 0).
+    """
+    image: np.ndarray | None
+    p: np.ndarray | None
+    log_p: np.ndarray | None
+
+
+def teacher_side(generator, p_t: np.ndarray, cfg: DistillConfig) -> TeacherSide:
+    """The teacher's half of student_loss for answer rows p_t, computed on the batch."""
+    p_t = ad.constant(p_t)
+    image = p = log_p = None
+    if cfg.alpha > 0:
+        image = teacher_image(generator, generator_input(p_t, cfg)).data
+    if cfg.beta > 0:
+        p, log_p = (t.data for t in kl_teacher_terms(p_t, cfg.tau))
+    return TeacherSide(image, p, log_p)
+
+
+class TeacherSideTable:
+    """:func:`teacher_side` of each distinct answer row seen in a full batch.
+
+    Keyed by the answer row's exact bytes, so the key is the answer, not
+    the query: the table is right with the teacher cache off too.  Only
+    full m-row batches read or fill it.  A full batch whose answers are all
+    stored is served by one gather; any other full batch is computed on
+    the whole batch, and its first-seen answers are stored.  A short batch
+    is computed and neither reads nor fills the table, since a row's bits
+    are the same only between batches of one shape.  ``arrays`` holds the
+    stored parts, allocated once at the first store with ``capacity`` rows
+    (None before it); once they are full, new answers are computed but not
+    stored.
+    """
+
+    def __init__(self, generator, cfg: DistillConfig, m: int, capacity: int):
+        self._generator = generator
+        self._cfg = cfg
+        self._m = m
+        self._capacity = capacity
+        self._rows: dict[bytes, int] = {}  # answer row bytes -> table row
+        self.arrays: TeacherSide | None = None
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def side(self, p_t: np.ndarray) -> TeacherSide:
+        if len(p_t) != self._m:
+            return teacher_side(self._generator, p_t, self._cfg)
+        keys = _row_keys(p_t)
+        found = list(map(self._rows.get, keys))
+        if None not in found:
+            return TeacherSide(*(None if a is None else a.take(found, axis=0)
+                                 for a in self.arrays))
+        side = teacher_side(self._generator, p_t, self._cfg)
+        self._store(keys, found, side)
+        return side
+
+    def _store(self, keys: list[bytes], found: list, side: TeacherSide) -> None:
+        """Store the rows of side whose answers are new, first-seen first, while room lasts."""
+        if self.arrays is None:
+            self.arrays = TeacherSide(*(None if a is None else
+                                         np.empty((self._capacity,) + a.shape[1:], a.dtype)
+                                         for a in side))
+        new: dict[bytes, int] = {}  # each new answer's first index, in order
+        for i, (key, j) in enumerate(zip(keys, found)):
+            if j is None:
+                new.setdefault(key, i)
+        start = len(self._rows)
+        picks = list(new.values())[:self._capacity - start]
+        end = start + len(picks)
+        for table, a in zip(self.arrays, side):
+            if table is not None:
+                table[start:end] = a[picks]
+        self._rows.update(zip(new, range(start, end)))
+
+
 def student_loss(student: Network, teacher: BlindTeacher, generator,
-                 x_batch: np.ndarray, cfg: DistillConfig) -> tuple[Tensor, dict]:
-    """Total loss plus its parts as floats: {'distance':, 'kld':}."""
+                 x_batch: np.ndarray, cfg: DistillConfig,
+                 sides: TeacherSideTable | None = None) -> tuple[Tensor, dict]:
+    """Total loss plus its parts as floats: {'distance':, 'kld':}.
+
+    The teacher's half of the loss (G's image of the answers' feed, and the
+    KL's teacher terms) comes from sides, a table built for this generator
+    and cfg, when one is given; otherwise it is computed on the batch by
+    :func:`teacher_side`.  Both give the same bits (see the module
+    docstring), so the loss and its gradients do not depend on the table.
+    A missing generator with alpha > 0 raises before the teacher is asked.
+    """
+    if cfg.alpha > 0 and generator is None:
+        raise ValueError("alpha > 0 requires a frozen generator")
     x_batch = np.asarray(x_batch, dtype=np.float64)
     p_t = teacher.classify(x_batch)
     probs_s = student(x_batch)
+    side = sides.side(p_t) if sides is not None else teacher_side(generator, p_t, cfg)
 
     parts: dict[str, float] = {}
     total = None
     if cfg.alpha > 0:
-        if generator is None:
-            raise ValueError("alpha > 0 requires a frozen generator")
-        dist = generation_distance(generator, generator_input(probs_s, cfg),
-                                   generator_input(ad.constant(p_t), cfg), cfg.p_norm)
+        dist = generation_distance(generator, generator_input(probs_s, cfg), None,
+                                   cfg.p_norm, image_t=side.image)
         parts["distance"] = dist.item()
         total = dist * cfg.alpha
     else:
         parts["distance"] = 0.0
 
     if cfg.beta > 0:
-        kld = kld_loss(p_t, probs_s, cfg.tau)
+        kld = kld_loss(None, probs_s, cfg.tau, terms_t=(side.p, side.log_p))
         parts["kld"] = kld.item()
         total = kld * cfg.beta if total is None else total + kld * cfg.beta
     else:
@@ -240,6 +375,8 @@ def student_loss(student: Network, teacher: BlindTeacher, generator,
 
 
 def _check_frozen(generator) -> None:
+    if generator is None:
+        raise ValueError("alpha > 0 requires a frozen generator")
     if isinstance(generator, Network) and any(p.requires_grad for p in generator.params.values()):
         raise ValueError("generator must be frozen before distillation")
 
@@ -250,7 +387,8 @@ def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
     """Train the student on student_loss; labels are never touched here.
 
     eval_train/eval_test are optional: accuracy is evaluated (and labels
-    read) only when they are provided.
+    read) only when they are provided.  The teacher's half of the loss is
+    served from one TeacherSideTable of at most len(ds) rows.
     """
     if student.spec.role != "classifier":
         raise ValueError(f"student must be a classifier, got role {student.spec.role!r}")
@@ -260,6 +398,8 @@ def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
     if cfg.alpha > 0:
         _check_frozen(generator)
 
+    m = min(cfg.m, len(ds))
+    sides = TeacherSideTable(generator, cfg, m, capacity=len(ds))
     opt = SGD(student.params, cfg.lr, momentum=cfg.momentum)
     log: list[dict] = []
     for epoch in range(cfg.epochs):
@@ -267,11 +407,11 @@ def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
         opt.lr = lr
         shuffle_rng = np.random.default_rng(spawn(seed, KEY_DISTILL_EPOCH, epoch))
         sums = {"total": 0.0, "distance": 0.0, "kld": 0.0}
-        idx_batches = batches(ds, min(cfg.m, len(ds)), seed=shuffle_rng, shuffle=True)
+        idx_batches = batches(ds, m, seed=shuffle_rng, shuffle=True)
         for step, idx in enumerate(idx_batches):
             opt.zero_grad()
             try:
-                loss, parts = student_loss(student, teacher, generator, ds.samples[idx], cfg)
+                loss, parts = student_loss(student, teacher, generator, ds.samples[idx], cfg, sides)
                 loss.backward()
             except ad.NonFiniteError as e:
                 raise TrainingDiverged(

@@ -187,3 +187,24 @@ def test_matmul_t_matches_matmul_of_transpose(m, k, n, seed):
 def test_matmul_t_shape_mismatch():
     with pytest.raises(ValueError, match="matmul_t shape mismatch"):
         ad.matmul_t(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+
+
+@pytest.mark.parametrize("axis", [None, 0, 1])
+def test_reduction_backward_matches_broadcast_expressions(axis):
+    # reduce_sum's backward fills one fresh array by broadcast assignment and
+    # reduce_mean's divides into one; both must equal the broadcast-then-copy
+    # and broadcast-then-divide expressions, signed zeros included
+    rng = np.random.default_rng(21)
+    a = Tensor(rng.standard_normal((64, 4)), requires_grad=True)
+    g_shape = {None: (), 0: (4,), 1: (64,)}[axis]
+    count = {None: a.data.size, 0: 64, 1: 4}[axis]
+    for g in (rng.standard_normal(g_shape), np.full(g_shape, -0.0)):
+        if g.ndim:
+            g[0] = -0.0
+        g_full = g if axis is None else np.expand_dims(g, axis)
+        got_sum = a.sum(axis=axis)._grads[0](g)
+        got_mean = a.mean(axis=axis)._grads[0](g)
+        assert got_sum.shape == got_mean.shape == a.shape
+        assert np.array_equal(_bits(got_sum), _bits(np.broadcast_to(g_full, a.shape).copy()))
+        assert np.array_equal(_bits(got_mean), _bits(np.broadcast_to(g_full, a.shape) / count))
+        assert np.signbit(got_sum).any() and np.signbit(got_mean).any()
