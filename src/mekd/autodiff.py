@@ -398,17 +398,27 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 # -- reductions ----------------------------------------------------------
 
 
-def _unreduce(g: np.ndarray, axis) -> np.ndarray:
+def _kept_shape(shape: tuple, axis) -> tuple | None:
+    """``shape`` with the reduced axis kept at size 1; None when every axis is reduced."""
+    if axis is None:
+        return None
+    kept = list(shape)
+    kept[axis] = 1
+    return tuple(kept)
+
+
+def _unreduce(g: np.ndarray, kept) -> np.ndarray:
     """The reduced gradient with the reduced axis put back (size 1)."""
-    return g if axis is None else np.expand_dims(g, axis)
+    return g if kept is None else g.reshape(kept)
 
 
 def reduce_sum(a: Tensor, axis=None) -> Tensor:
     a = _wrap(a)
-    data = a.data.sum(axis=axis)
+    data = np.add.reduce(a.data, axis)
+    kept = _kept_shape(a.shape, axis)
 
     def grad(g):
-        g = _unreduce(g, axis)
+        g = _unreduce(g, kept)
         if g.shape == a.shape:
             return g
         out = np.empty(a.shape, g.dtype)
@@ -420,8 +430,9 @@ def reduce_sum(a: Tensor, axis=None) -> Tensor:
 
 def reduce_mean(a: Tensor, axis=None) -> Tensor:
     a = _wrap(a)
-    data = a.data.mean(axis=axis)
     count = a.data.size if axis is None else a.shape[axis]
+    data = np.add.reduce(a.data, axis) / count  # what ndarray.mean computes, minus its helpers
+    kept = _kept_shape(a.shape, axis)
     return _result(np.asarray(data), (a,), "mean",
-                   (lambda g: np.divide(_unreduce(g, axis), count,
+                   (lambda g: np.divide(_unreduce(g, kept), count,
                                         out=np.empty(a.shape, g.dtype)),))

@@ -27,7 +27,8 @@ from .data import Dataset, augment, batches, parse_idx, spawn, synth_blobs
 from .distill import (BlindTeacher, DistillConfig, distill, generation_distance, generator_input,
                       kld_loss)
 from .gan import sample_noise, train_gan
-from .metrics import accuracy, cross_entropy, frechet_distance, record_logit_gradients
+from .metrics import (FrechetStats, accuracy, cross_entropy, frechet_distance,
+                      record_logit_gradients)
 from .nets import Network, NetworkSpec, build_network
 from .optim import SGD, TrainingDiverged, multistep_lr
 
@@ -289,14 +290,15 @@ def generator_fid(cfg: RunConfig, G: Network, real: Dataset, tag: int = 0) -> fl
     rng = np.random.default_rng(spawn(seed, KEY_FID_NOISE, tag))
     count = min(len(real), FID_ROWS)
     z = sample_noise(cfg.get("gan", "prior"), count, G.spec.input_dim, rng)
-    with no_grad():
-        fake = G(z).data
     reference = real.samples
     if len(real) > FID_ROWS:
         pick = np.random.default_rng(spawn(seed, KEY_FID_REAL)).choice(
             len(real), FID_ROWS, replace=False)
         reference = reference[np.sort(pick)]
-    return frechet_distance(fake, reference)
+    with no_grad():
+        # the generated rows, then their statistics, are temporaries: each is
+        # freed as soon as it is used up
+        return frechet_distance(FrechetStats.from_samples(G(z).data), reference)
 
 
 def run_train_gan(cfg: RunConfig, out_dir: str) -> dict:

@@ -59,8 +59,11 @@ class FrechetStats:
                 stacklevel=2)
         mean = samples.mean(axis=0)
         centered = samples - mean
-        cov = centered.T @ centered / (n - 1)  # unbiased estimator
-        cov = 0.5 * (cov + cov.T)
+        cov = centered.T @ centered
+        del centered
+        cov /= n - 1  # unbiased estimator
+        cov = cov + cov.T
+        cov *= 0.5
         return cls(mean, cov)
 
 
@@ -68,35 +71,71 @@ def matrix_sqrt_psd(m: np.ndarray, sym_tol: float = 1e-8) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
     Eigenvalues below zero (numerical noise) are clamped; asymmetry beyond
-    tolerance is an error rather than silently symmetrized.
+    tolerance and non-finite entries are errors rather than silently
+    symmetrized or passed to eigh.  Beyond ``m`` at most three d×d arrays
+    are alive at once, besides eigh's own workspace.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix_sqrt_psd needs a square matrix, got {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if np.max(np.abs(m - m.T)) > sym_tol * scale:
+    hi, lo = float(m.max()), float(m.min())
+    if not (np.isfinite(hi) and np.isfinite(lo)):
+        raise ValueError("non-finite values in matrix")
+    scale = max(1.0, hi, -lo)  # max |m| without an |m| copy
+    buf = np.subtract(m, m.T)
+    np.abs(buf, out=buf)
+    if buf.max() > sym_tol * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
+    np.add(m, m.T, out=buf)
+    buf *= 0.5
+    w, v = np.linalg.eigh(buf)
+    del buf
     if w.min() < -1e-9 * scale:
         warnings.warn(f"clamping negative eigenvalue {w.min():.3e}", stacklevel=2)
     w = np.maximum(w, 0.0)
-    root = (v * np.sqrt(w)) @ v.T
-    return 0.5 * (root + root.T)
+    scaled = v * np.sqrt(w)
+    root = scaled @ v.T
+    del v
+    np.add(root, root.T, out=scaled)
+    scaled *= 0.5
+    return scaled
 
 
-def frechet_distance(set_a: np.ndarray, set_b: np.ndarray) -> float:
-    """Distance between Gaussian fits of two sample sets; >= 0, 0 iff equal fits."""
-    sa = FrechetStats.from_samples(set_a)
-    sb = FrechetStats.from_samples(set_b)
-    if sa.mean.shape != sb.mean.shape:
+def _width(x) -> int | None:
+    if isinstance(x, FrechetStats):
+        return x.mean.shape[0]
+    shape = np.shape(x)
+    return shape[1] if len(shape) == 2 else None  # other ranks: from_samples says why
+
+
+def frechet_distance(set_a, set_b) -> float:
+    """Distance between Gaussian fits of two sample sets; >= 0, 0 iff equal fits.
+
+    Either argument may instead be a set's FrechetStats.  C_A is released
+    once S_A is formed, before set B's statistics are built, and C_B and S_A
+    once S_A C_B S_A is formed: beyond the arguments at most four d×d
+    float64 arrays are alive at once (or three and B's centered samples),
+    besides eigh's workspace.  Statistics passed as a temporary, as in
+    ``frechet_distance(FrechetStats.from_samples(x), y)``, are released with
+    C_A, since on CPython 3.11+ this frame then holds their only reference.
+    """
+    width_a, width_b = _width(set_a), _width(set_b)
+    if None not in (width_a, width_b) and width_a != width_b:
         raise ValueError(
-            f"sample sets live in different dimensions: {sa.mean.shape} vs {sb.mean.shape}")
-    diff = sa.mean - sb.mean
+            f"sample sets live in different dimensions: {width_a} vs {width_b}")
+    sa = set_a if isinstance(set_a, FrechetStats) else FrechetStats.from_samples(set_a)
+    mean_a, trace_a = sa.mean, np.trace(sa.cov)
     # Tr((C_A C_B)^(1/2)) via the symmetric product S_A C_B S_A, which shares
     # its spectrum with C_A C_B but stays in PSD territory for eigh.
     s_a = matrix_sqrt_psd(sa.cov)
-    cross = matrix_sqrt_psd(s_a @ sb.cov @ s_a)
-    value = float(diff @ diff + np.trace(sa.cov) + np.trace(sb.cov) - 2.0 * np.trace(cross))
+    del set_a, sa
+    sb = set_b if isinstance(set_b, FrechetStats) else FrechetStats.from_samples(set_b)
+    diff = mean_a - sb.mean
+    trace_b = np.trace(sb.cov)
+    product = s_a @ sb.cov @ s_a
+    del set_b, sb, s_a
+    cross = np.trace(matrix_sqrt_psd(product))
+    value = float(diff @ diff + trace_a + trace_b - 2.0 * cross)
     return max(value, 0.0)
 
 

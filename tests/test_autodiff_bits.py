@@ -189,15 +189,15 @@ def test_matmul_t_shape_mismatch():
         ad.matmul_t(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
 
 
-@pytest.mark.parametrize("axis", [None, 0, 1])
+@pytest.mark.parametrize("axis", [None, 0, 1, -1])
 def test_reduction_backward_matches_broadcast_expressions(axis):
     # reduce_sum's backward fills one fresh array by broadcast assignment and
     # reduce_mean's divides into one; both must equal the broadcast-then-copy
     # and broadcast-then-divide expressions, signed zeros included
     rng = np.random.default_rng(21)
     a = Tensor(rng.standard_normal((64, 4)), requires_grad=True)
-    g_shape = {None: (), 0: (4,), 1: (64,)}[axis]
-    count = {None: a.data.size, 0: 64, 1: 4}[axis]
+    g_shape = {None: (), 0: (4,), 1: (64,), -1: (64,)}[axis]
+    count = {None: a.data.size, 0: 64, 1: 4, -1: 4}[axis]
     for g in (rng.standard_normal(g_shape), np.full(g_shape, -0.0)):
         if g.ndim:
             g[0] = -0.0
@@ -208,3 +208,17 @@ def test_reduction_backward_matches_broadcast_expressions(axis):
         assert np.array_equal(_bits(got_sum), _bits(np.broadcast_to(g_full, a.shape).copy()))
         assert np.array_equal(_bits(got_mean), _bits(np.broadcast_to(g_full, a.shape) / count))
         assert np.signbit(got_sum).any() and np.signbit(got_mean).any()
+
+
+@pytest.mark.parametrize("axis", [None, 0, 1, -1])
+def test_reduction_forward_matches_ndarray_methods(axis):
+    # reduce_sum and reduce_mean call np.add.reduce directly; they must equal
+    # ndarray.sum and ndarray.mean, also on a set of -0.0 entries
+    rng = np.random.default_rng(22)
+    for data in (rng.standard_normal((64, 4)), np.full((3, 5), -0.0)):
+        with no_grad():
+            got_sum = ad.reduce_sum(Tensor(data), axis).data
+            got_mean = ad.reduce_mean(Tensor(data), axis).data
+        assert np.array_equal(_bits(got_sum), _bits(data.sum(axis=axis)))
+        assert np.array_equal(_bits(got_mean), _bits(data.mean(axis=axis)))
+

@@ -16,7 +16,7 @@ from mekd.checkpoint import load as load_ckpt
 from mekd.cli import main
 from mekd.config import ConfigError, RunConfig
 from mekd.distill import generation_distance, kld_loss
-from mekd.metrics import record_logit_gradients
+from mekd.metrics import FrechetStats, frechet_distance, record_logit_gradients
 from mekd.optim import TrainingDiverged
 
 TINY_INI = """\
@@ -363,6 +363,24 @@ def test_generator_fid_small_set_uses_every_row(tiny_cfg, monkeypatch):
     G = harness.build_role(tiny_cfg, "generator", train.n, train.num_classes)
     harness.generator_fid(tiny_cfg, G, train)
     assert np.array_equal(seen[0], train.samples)
+
+
+def test_generator_fid_keeps_only_the_statistics_of_the_generated_rows(tiny_cfg, monkeypatch):
+    # the generated rows are reduced to their Gaussian fit before the reference
+    # is touched, and the distance equals the one over the rows themselves
+    train, _ = harness.load_dataset(tiny_cfg)
+    G = harness.build_role(tiny_cfg, "generator", train.n, train.num_classes)
+    seen = []
+    monkeypatch.setattr(harness, "frechet_distance", lambda fake, real: seen.append(fake))
+    harness.generator_fid(tiny_cfg, G, train)
+    monkeypatch.undo()
+    (fake,) = seen
+    assert isinstance(fake, FrechetStats)
+    rng = np.random.default_rng(harness.spawn(tiny_cfg.get("run", "seed"), harness.KEY_FID_NOISE, 0))
+    z = harness.sample_noise(tiny_cfg.get("gan", "prior"), len(train), G.spec.input_dim, rng)
+    with no_grad():
+        rows = G(z).data
+    assert harness.generator_fid(tiny_cfg, G, train) == frechet_distance(rows, train.samples)
 
 
 def test_run_distill_requires_teacher_checkpoint(tiny_cfg, tmp_path):

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -204,6 +207,100 @@ def test_frechet_separated_gaussians_closed_form():
     a = rng.standard_normal((100_000, 2))
     b = rng.standard_normal((100_000, 2)) + np.array([1.0, 0.0])
     assert abs(frechet_distance(a, b) - 1.0) < 0.05
+
+
+def test_frechet_dimension_mismatch_raises_before_any_covariance():
+    # a 3-row, 3-wide set would warn "rank-deficient" if its covariance were built
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="different dimensions"):
+            frechet_distance(np.ones((3, 2)), np.ones((3, 3)))
+        with pytest.raises(ValueError, match="different dimensions"):
+            frechet_distance(FrechetStats.from_samples(np.eye(4)[:, :2]), np.ones((3, 3)))
+
+
+def test_matrix_sqrt_rejects_non_finite_input():
+    for bad in (np.nan, np.inf, -np.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                matrix_sqrt_psd(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+# -- Fréchet path against the expressions it replaced, bit for bit -----------
+
+
+def _old_stats(samples):
+    samples = np.asarray(samples, dtype=np.float64)
+    n = len(samples)
+    mean = samples.mean(axis=0)
+    centered = samples - mean
+    cov = centered.T @ centered / (n - 1)
+    return mean, 0.5 * (cov + cov.T)
+
+
+def _old_sqrt(m, sym_tol=1e-8):
+    scale = max(1.0, float(np.max(np.abs(m))))
+    assert np.max(np.abs(m - m.T)) <= sym_tol * scale
+    w, v = np.linalg.eigh(0.5 * (m + m.T))
+    w = np.maximum(w, 0.0)
+    root = (v * np.sqrt(w)) @ v.T
+    return 0.5 * (root + root.T)
+
+
+def _old_frechet(a, b):
+    (mean_a, cov_a), (mean_b, cov_b) = _old_stats(a), _old_stats(b)
+    diff = mean_a - mean_b
+    s_a = _old_sqrt(cov_a)
+    cross = _old_sqrt(s_a @ cov_b @ s_a)
+    return max(float(diff @ diff + np.trace(cov_a) + np.trace(cov_b) - 2.0 * np.trace(cross)),
+               0.0)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.filterwarnings("ignore:only:UserWarning", "ignore:clamping:UserWarning")
+@pytest.mark.parametrize("case", ["spd", "rank-deficient"])
+def test_frechet_path_matches_the_old_expressions_bit_for_bit(case):
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        d = int(rng.integers(2, 24))
+        n = int(rng.integers(d + 2, 80)) if case == "spd" else int(rng.integers(2, d + 1))
+        a = rng.standard_normal((n, d)) @ rng.standard_normal((d, d)) + rng.standard_normal(d)
+        b = rng.uniform(-2.0, 3.0, size=(n, d))
+        stats = FrechetStats.from_samples(a)
+        mean, cov = _old_stats(a)
+        assert np.array_equal(_bits(stats.mean), _bits(mean))
+        assert np.array_equal(_bits(stats.cov), _bits(cov))
+        assert np.array_equal(_bits(matrix_sqrt_psd(cov)), _bits(_old_sqrt(cov)))
+        want = _old_frechet(a, b)
+        assert _bits(frechet_distance(a, b)) == _bits(want)
+        assert _bits(frechet_distance(stats, FrechetStats.from_samples(b))) == _bits(want)
+
+
+def test_matrix_sqrt_clamp_matches_the_old_expression_bit_for_bit():
+    rng = np.random.default_rng(24)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    m = (q * np.array([4.0, 2.0, 1.0, 0.5, 0.0, -1e-6])) @ q.T
+    m = 0.5 * (m + m.T)
+    with pytest.warns(UserWarning, match="clamping"):
+        got = matrix_sqrt_psd(m)
+    assert np.array_equal(_bits(got), _bits(_old_sqrt(m)))
+
+
+def test_frechet_peak_memory_is_four_square_matrices():
+    rng = np.random.default_rng(25)
+    a, b = rng.uniform(size=(1000, 784)), rng.uniform(size=(1000, 784))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        frechet_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 784 * 784 * 8  # the old path held 7.0 of them
 
 
 # -- logit-gradient profiles ---------------------------------------------------
