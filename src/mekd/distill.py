@@ -1,15 +1,21 @@
 """Stage 2: distill a student from a blind teacher through the frozen generator.
 
 The teacher is reachable only through :class:`BlindTeacher`, a query
-counter around an x -> probability-vector function.  The student loss is
+counter around an x -> probability-vector function.  The student loss,
+:func:`objective`, is
 
     alpha * generation_distance(G(y_S), G(y_T)) + beta * kld(p_T || p_S)
 
 with the distance taken per image as (mean_j |d_j|^p)^(1/p) and averaged
 over the batch; :func:`generator_input` feeds both sides' 2-d probability
-batches to G.  The baseline kd method is the same loop with alpha = 0
-and tau = kd_tau (see ``harness.distill_config``), so kd and mekd differ
-in both the distance weight and the KL temperature.
+batches to G.  Training (:func:`student_loss`) and the gradient profiles
+(``harness.run_grad_profile``) both call it.  The baseline kd method is the
+same loop with alpha = 0 and tau = kd_tau (see ``harness.distill_config``),
+so kd and mekd differ in both the distance weight and the KL temperature.
+
+Each loss takes the teacher's half already computed, as arrays:
+``kld_loss(kl_teacher_terms(p_t, tau), p_s, tau)`` and
+``generation_distance(G, y_s, image_t, p_norm)`` with image_t = G(y_T).
 
 The teacher and the generator are frozen, so the teacher's half of the
 loss (:class:`TeacherSide`: G's image of the answer's feed, and the KL's
@@ -189,31 +195,25 @@ def _resoften(p: Tensor, tau: float) -> Tensor:
     return ad.softmax(logp * (1.0 / tau))
 
 
-def kl_teacher_terms(p_t, tau: float) -> tuple[Tensor, Tensor]:
-    """kld_loss's teacher terms: p_t re-softened at tau (when tau != 1),
-    clamped at 1e-12, and its log."""
+def kl_teacher_terms(p_t: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """kld_loss's teacher terms for answer rows p_t: p_t re-softened at tau
+    (when tau != 1), clamped at 1e-12, and its log."""
+    q = ad.constant(p_t)
     if tau != 1.0:
-        p_t = _resoften(p_t, tau)
-    p_t = ad.clip(p_t, PROB_FLOOR, 1.0)
-    return p_t, ad.log(p_t)
+        q = _resoften(q, tau)
+    q = ad.clip(q, PROB_FLOOR, 1.0)
+    return q.data, ad.log(q).data
 
 
-def kld_loss(p_t, p_s, tau: float = 1.0, terms_t=None) -> Tensor:
-    """Batch-mean KL(p_t || p_s), components clamped at 1e-12.
-
-    terms_t, when given, is ``kl_teacher_terms(p_t, tau)`` already computed
-    (tensors or arrays), and p_t is not read.
-    """
-    if terms_t is None:
-        p_t, p_s = _pair(p_t, p_s)
-        terms_t = kl_teacher_terms(p_t, tau)
+def kld_loss(terms_t, p_s, tau: float) -> Tensor:
+    """Batch-mean KL(p_t || p_s), components clamped at 1e-12, where
+    terms_t is ``kl_teacher_terms(p_t, tau)`` (arrays, so no gradient reaches them)."""
     q, log_q = terms_t
-    q, p_s = _pair(q, p_s)
-    log_q = log_q if isinstance(log_q, Tensor) else ad.constant(log_q)
+    q, p_s = _pair(ad.constant(q), p_s)
     if tau != 1.0:
         p_s = _resoften(p_s, tau)
     p_s = ad.clip(p_s, PROB_FLOOR, 1.0)
-    per_row = (q * (log_q - ad.log(p_s))).sum(axis=1)
+    per_row = (q * (ad.constant(log_q) - ad.log(p_s))).sum(axis=1)
     return per_row.mean()
 
 
@@ -227,25 +227,16 @@ def generator_input(p: Tensor, cfg: DistillConfig) -> Tensor:
     return y if cfg.gen_tau == 1.0 else y * (1.0 / cfg.gen_tau)
 
 
-def teacher_image(generator, y_t) -> Tensor:
-    """G's image of the teacher's feed y_t, which is taken as a constant."""
-    return generator(ad.constant(y_t.data if isinstance(y_t, Tensor) else y_t))
-
-
-def generation_distance(generator, y_s, y_t, p_norm: int, image_t=None) -> Tensor:
-    """Batch-mean per-image distance between G(y_s) and G(y_t).
+def generation_distance(generator, y_s, image_t, p_norm: int) -> Tensor:
+    """Batch-mean per-image distance between G(y_s) and image_t, the
+    teacher's image (an array).
 
     Per image the distance is (mean_j |d_j|^p)^(1/p); gradient flows only
-    into y_s's producer (y_t is treated as a constant).  image_t, when
-    given, is ``teacher_image(generator, y_t)`` already computed (a tensor
-    or an array), and y_t is not read.
+    into y_s's producer (a tensor image_t raises TypeError).
     """
     if p_norm not in (1, 2):
         raise ValueError(f"p_norm must be 1 or 2, got {p_norm}")
-    if image_t is None:
-        y_s, y_t = _pair(y_s, y_t)
-        image_t = teacher_image(generator, y_t)
-    image_s, image_t = _pair(generator(y_s), image_t)
+    image_s, image_t = _pair(generator(y_s), ad.constant(image_t))
     diff = image_s - image_t
     if p_norm == 1:
         per_image = ad.absolute(diff).mean(axis=1)
@@ -267,12 +258,11 @@ class TeacherSide(NamedTuple):
 
 def teacher_side(generator, p_t: np.ndarray, cfg: DistillConfig) -> TeacherSide:
     """The teacher's half of student_loss for answer rows p_t, computed on the batch."""
-    p_t = ad.constant(p_t)
     image = p = log_p = None
     if cfg.alpha > 0:
-        image = teacher_image(generator, generator_input(p_t, cfg)).data
+        image = generator(generator_input(ad.constant(p_t), cfg)).data
     if cfg.beta > 0:
-        p, log_p = (t.data for t in kl_teacher_terms(p_t, cfg.tau))
+        p, log_p = kl_teacher_terms(p_t, cfg.tau)
     return TeacherSide(image, p, log_p)
 
 
@@ -333,10 +323,33 @@ class TeacherSideTable:
         self._rows.update(zip(new, range(start, end)))
 
 
+def objective(generator, side: TeacherSide, feed_s: Tensor, probs_s: Tensor,
+              cfg: DistillConfig) -> tuple[Tensor, dict]:
+    """alpha * distance + beta * kld against the teacher's half side, plus
+    the parts as floats: {'distance':, 'kld':}.
+
+    feed_s is the student's probabilities for the distance (fed to G
+    through :func:`generator_input`), probs_s its probabilities for the KL;
+    a term of weight 0 is skipped, and its part is 0.0.
+    """
+    parts = {"distance": 0.0, "kld": 0.0}
+    total = None
+    if cfg.alpha > 0:
+        dist = generation_distance(generator, generator_input(feed_s, cfg), side.image,
+                                   cfg.p_norm)
+        parts["distance"] = dist.item()
+        total = dist * cfg.alpha
+    if cfg.beta > 0:
+        kld = kld_loss((side.p, side.log_p), probs_s, cfg.tau)
+        parts["kld"] = kld.item()
+        total = kld * cfg.beta if total is None else total + kld * cfg.beta
+    return total, parts
+
+
 def student_loss(student: Network, teacher: BlindTeacher, generator,
                  x_batch: np.ndarray, cfg: DistillConfig,
                  sides: TeacherSideTable | None = None) -> tuple[Tensor, dict]:
-    """Total loss plus its parts as floats: {'distance':, 'kld':}.
+    """:func:`objective` of the student's probabilities on x_batch.
 
     The teacher's half of the loss (G's image of the answers' feed, and the
     KL's teacher terms) comes from sides, a table built for this generator
@@ -351,34 +364,10 @@ def student_loss(student: Network, teacher: BlindTeacher, generator,
     p_t = teacher.classify(x_batch)
     probs_s = student(x_batch)
     side = sides.side(p_t) if sides is not None else teacher_side(generator, p_t, cfg)
-
-    parts: dict[str, float] = {}
-    total = None
-    if cfg.alpha > 0:
-        dist = generation_distance(generator, generator_input(probs_s, cfg), None,
-                                   cfg.p_norm, image_t=side.image)
-        parts["distance"] = dist.item()
-        total = dist * cfg.alpha
-    else:
-        parts["distance"] = 0.0
-
-    if cfg.beta > 0:
-        kld = kld_loss(None, probs_s, cfg.tau, terms_t=(side.p, side.log_p))
-        parts["kld"] = kld.item()
-        total = kld * cfg.beta if total is None else total + kld * cfg.beta
-    else:
-        parts["kld"] = 0.0
-    return total, parts
+    return objective(generator, side, probs_s, probs_s, cfg)
 
 
-# -- training loops -------------------------------------------------------
-
-
-def _check_frozen(generator) -> None:
-    if generator is None:
-        raise ValueError("alpha > 0 requires a frozen generator")
-    if isinstance(generator, Network) and any(p.requires_grad for p in generator.params.values()):
-        raise ValueError("generator must be frozen before distillation")
+# -- training loop --------------------------------------------------------
 
 
 def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
@@ -395,8 +384,9 @@ def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
     if student.spec.output_dim != teacher.num_classes:
         raise ValueError(
             f"student width {student.spec.output_dim} != teacher classes {teacher.num_classes}")
-    if cfg.alpha > 0:
-        _check_frozen(generator)
+    if cfg.alpha > 0 and isinstance(generator, Network) and any(
+            p.requires_grad for p in generator.params.values()):
+        raise ValueError("generator must be frozen before distillation")
 
     m = min(cfg.m, len(ds))
     sides = TeacherSideTable(generator, cfg, m, capacity=len(ds))

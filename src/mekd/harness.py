@@ -24,8 +24,7 @@ from . import checkpoint
 from .autodiff import no_grad
 from .config import ConfigError, RunConfig
 from .data import Dataset, augment, batches, parse_idx, spawn, synth_blobs
-from .distill import (BlindTeacher, DistillConfig, distill, generation_distance, generator_input,
-                      kld_loss)
+from .distill import BlindTeacher, DistillConfig, distill, objective, teacher_side
 from .gan import sample_noise, train_gan
 from .metrics import (FrechetStats, accuracy, cross_entropy, frechet_distance,
                       record_logit_gradients)
@@ -92,14 +91,12 @@ def load_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     seed = cfg.get("run", "seed")
     lo, hi = cfg.get("data", "value_lo"), cfg.get("data", "value_hi")
     if kind == "blobs":
-        train = synth_blobs(cfg.get("data", "num_classes"), cfg.get("data", "n"),
-                            cfg.get("data", "per_class"), cfg.get("data", "spread"),
-                            seed=spawn(seed, KEY_DATA_TRAIN),
-                            centroid_seed=cfg.get("data", "centroid_seed"))
-        test = synth_blobs(cfg.get("data", "num_classes"), cfg.get("data", "n"),
-                           cfg.get("data", "per_class_test"), cfg.get("data", "spread"),
-                           seed=spawn(seed, KEY_DATA_TEST),
-                           centroid_seed=cfg.get("data", "centroid_seed"))
+        train, test = (synth_blobs(cfg.get("data", "num_classes"), cfg.get("data", "n"),
+                                   cfg.get("data", per_class), cfg.get("data", "spread"),
+                                   seed=spawn(seed, key),
+                                   centroid_seed=cfg.get("data", "centroid_seed"))
+                       for per_class, key in (("per_class", KEY_DATA_TRAIN),
+                                              ("per_class_test", KEY_DATA_TEST)))
     elif kind == "mnist":
         train, test = _load_mnist(cfg)
     else:
@@ -279,26 +276,25 @@ def run_train_teacher(cfg: RunConfig, out_dir: str) -> dict:
 FID_ROWS = 2000
 
 
-def generator_fid(cfg: RunConfig, G: Network, real: Dataset, tag: int = 0) -> float:
-    """Fréchet distance between noise-generated images and the real set.
+def _fid_reference(seed, real: Dataset) -> np.ndarray:
+    """real's rows, or beyond FID_ROWS a seeded subset, the same for every
+    tag (data files are sorted by class, so a prefix would drop classes)."""
+    if len(real) <= FID_ROWS:
+        return real.samples
+    pick = np.random.default_rng(spawn(seed, KEY_FID_REAL)).choice(
+        len(real), FID_ROWS, replace=False)
+    return real.samples[np.sort(pick)]
 
-    Beyond FID_ROWS real rows the reference is a seeded subset, the same
-    for every tag (data files are sorted by class, so a prefix would drop
-    classes).
-    """
+
+def generator_fid(cfg: RunConfig, G: Network, real: Dataset, tag: int = 0) -> float:
+    """Fréchet distance between noise-generated images and the real set."""
     seed = cfg.get("run", "seed")
     rng = np.random.default_rng(spawn(seed, KEY_FID_NOISE, tag))
-    count = min(len(real), FID_ROWS)
-    z = sample_noise(cfg.get("gan", "prior"), count, G.spec.input_dim, rng)
-    reference = real.samples
-    if len(real) > FID_ROWS:
-        pick = np.random.default_rng(spawn(seed, KEY_FID_REAL)).choice(
-            len(real), FID_ROWS, replace=False)
-        reference = reference[np.sort(pick)]
+    z = sample_noise(cfg.get("gan", "prior"), min(len(real), FID_ROWS), G.spec.input_dim, rng)
     with no_grad():
-        # the generated rows, then their statistics, are temporaries: each is
-        # freed as soon as it is used up
-        return frechet_distance(FrechetStats.from_samples(G(z).data), reference)
+        # the generated rows, their statistics, then the reference subset are
+        # temporaries, each freed once used up (the subset after the rows)
+        return frechet_distance(FrechetStats.from_samples(G(z).data), _fid_reference(seed, real))
 
 
 def run_train_gan(cfg: RunConfig, out_dir: str) -> dict:
@@ -420,15 +416,19 @@ def run_eval(cfg: RunConfig, out_dir: str) -> dict:
 def run_grad_profile(cfg: RunConfig, out_dir: str, samples: int = 8) -> list[list]:
     """Per-sample logit-gradient profiles for CE / KD / MEKD-L1 / MEKD-L2.
 
-    kd is the KL at kd_tau; mekd is the configured mekd loss at p_norm 1 and 2."""
+    kd is the KL at kd_tau, weight 1; mekd is the configured mekd loss at
+    p_norm 1 and 2.  Each is distill.objective, with one softmax per term."""
     run = _Run(cfg, out_dir)
     blind = BlindTeacher.from_network(run.load("teacher", "teacher.ckpt"))
     G = run.load("generator", "generator.ckpt")
     student = run.build("student")  # trainable: the profiles are its gradients
     if os.path.exists(run.path("student_mekd.ckpt")):
         student.load_state_dict(checkpoint.load(run.path("student_mekd.ckpt")))
-    kd_tau = cfg.get("distill", "kd_tau")
-    mekd = distill_config(cfg, "mekd")
+    kd = DistillConfig(alpha=0.0, beta=1.0, tau=cfg.get("distill", "kd_tau"))
+    mekd = {p_norm: cfg.build("distill", p_norm=p_norm) for p_norm in (1, 2)}
+
+    def loss(side, dcfg):
+        return lambda lg: objective(G, side, ad.softmax(lg), ad.softmax(lg), dcfg)[0]
 
     rng = np.random.default_rng(spawn(run.seed, KEY_PROFILE))
     picks = rng.choice(len(run.test), size=min(samples, len(run.test)), replace=False)
@@ -438,20 +438,12 @@ def run_grad_profile(cfg: RunConfig, out_dir: str, samples: int = 8) -> list[lis
         x = run.test.samples[i]
         k = int(label_values[i])
         p_t = blind.classify(x.reshape(1, -1))
-
-        def kd_loss(logits):
-            return kld_loss(p_t, ad.softmax(logits), tau=kd_tau)
-
-        def mekd_loss(logits, p_norm):
-            dist = generation_distance(G, generator_input(ad.softmax(logits), mekd),
-                                       generator_input(ad.constant(p_t), mekd), p_norm)
-            return dist * mekd.alpha + kld_loss(p_t, ad.softmax(logits), mekd.tau) * mekd.beta
-
+        mekd_side = teacher_side(G, p_t, mekd[1])  # the same for either p_norm
         evaluators = [
             ("ce", lambda lg: cross_entropy(ad.softmax(lg), [k])),
-            ("kd", kd_loss),
-            ("mekd-l1", lambda lg: mekd_loss(lg, 1)),
-            ("mekd-l2", lambda lg: mekd_loss(lg, 2)),
+            ("kd", loss(teacher_side(None, p_t, kd), kd)),
+            ("mekd-l1", loss(mekd_side, mekd[1])),
+            ("mekd-l2", loss(mekd_side, mekd[2])),
         ]
         for name, fn in evaluators:
             profile = record_logit_gradients(student, fn, x, k)

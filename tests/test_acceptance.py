@@ -20,7 +20,7 @@ from mekd.checkpoint import load as load_ckpt
 from mekd.config import RunConfig
 from mekd.data import synth_blobs
 from mekd.distill import (BlindTeacher, DistillConfig, distill,
-                          generation_distance, kld_loss, student_loss)
+                          generation_distance, kl_teacher_terms, kld_loss, student_loss)
 from mekd.gan import discriminator_loss, generator_loss, sample_noise
 from mekd.gradcheck import run_op_suite
 from mekd.metrics import FrechetStats, frechet_distance
@@ -112,7 +112,8 @@ def test_criterion_02_loss_oracles():
                 qs = min(max(q_s[r, j], 1e-12), 1.0)
                 want += qt * (np.log(qt) - np.log(qs))
         want /= m
-        assert kld_loss(p_t, p_s, tau=tau).item() == pytest.approx(want, abs=1e-10)
+        got = kld_loss(kl_teacher_terms(p_t, tau), p_s, tau).item()
+        assert got == pytest.approx(want, abs=1e-10)
 
     # discriminator_loss / generator_loss vs clipped-log formulas on random nets
     for trial in range(100):
@@ -146,7 +147,7 @@ def test_criterion_02_loss_oracles():
         diff = np.abs(img_s - img_t)
         want = (diff.mean(axis=1).mean() if p == 1
                 else np.sqrt((diff ** 2).mean(axis=1)).mean())
-        assert generation_distance(G, y_s, y_t, p).item() == pytest.approx(want, abs=1e-10)
+        assert generation_distance(G, y_s, img_t, p).item() == pytest.approx(want, abs=1e-10)
 
     # frechet_distance vs a scipy.linalg.sqrtm cross-term
     for _ in range(100):
@@ -348,7 +349,7 @@ def test_criterion_09_invertible_pair_convergence():
     for step in range(steps):
         opt.lr = multistep_lr(step, 1.0, [800, 1400], 0.2)
         y_s = student(ad.constant(x))
-        loss = generation_distance(inverse_generator, y_s, y_t, 1)
+        loss = generation_distance(inverse_generator, y_s, recovered, 1)
         opt.zero_grad()
         loss.backward()
         opt.step()

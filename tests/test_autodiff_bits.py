@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from mekd import autodiff as ad
 from mekd.autodiff import Tensor, no_grad
-from mekd.distill import BlindTeacher, DistillConfig, kld_loss, student_loss
+from mekd.distill import BlindTeacher, DistillConfig, kl_teacher_terms, kld_loss, student_loss
 from mekd.gan import _fixed, wgan_discriminator_loss, wgan_generator_loss
 from mekd.metrics import cross_entropy, record_logit_gradients
 from mekd.nets import NetworkSpec, build_network
@@ -98,7 +98,7 @@ def test_student_loss_leaf_gradients_match_reference(cfg):
 def _mekd_loss(G, p_t):
     def loss(logits):
         dist = ad.absolute(G(ad.softmax(logits)) - G(p_t)).mean()  # logits feed two softmaxes
-        return dist + kld_loss(p_t, ad.softmax(logits))
+        return dist + kld_loss(kl_teacher_terms(p_t, 1.0), ad.softmax(logits), 1.0)
     return loss
 
 
@@ -113,7 +113,7 @@ def test_recorded_logit_gradients_match_reference(which):
     G = build_network(generator_spec(4, 6), 4, seed=12).freeze()
     p_t = np.random.default_rng(13).dirichlet(np.ones(4), size=1)
     loss_fn = {"ce": lambda lg: cross_entropy(ad.softmax(lg), [2]),
-               "kd": lambda lg: kld_loss(p_t, ad.softmax(lg), tau=4.0),
+               "kd": lambda lg: kld_loss(kl_teacher_terms(p_t, 4.0), ad.softmax(lg), 4.0),
                "mekd": _mekd_loss(G, p_t),
                "signed-zero": _signed_zero_loss}[which]
     x = np.random.default_rng(14).uniform(size=(1, 6))

@@ -17,7 +17,6 @@ from mekd.distill import (
     kl_teacher_terms,
     kld_loss,
     student_loss,
-    teacher_image,
     teacher_side,
 )
 from mekd.nets import build_network
@@ -214,15 +213,16 @@ def test_blind_teacher_rejects_degenerate_class_count():
 
 def test_kld_identity_is_zero():
     p = np.array([[0.2, 0.3, 0.5]])
-    assert kld_loss(p, p).item() == 0.0
-    assert kld_loss(p, p, tau=4.0).item() == pytest.approx(0.0, abs=1e-15)
+    assert kld_loss(kl_teacher_terms(p, 1.0), p, 1.0).item() == 0.0
+    assert kld_loss(kl_teacher_terms(p, 4.0), p, 4.0).item() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_kld_near_deterministic_teacher_vs_uniform():
     eps = 1e-9
     p_t = np.array([[1.0 - eps, eps]])
     p_s = np.array([[0.5, 0.5]])
-    assert kld_loss(p_t, p_s).item() == pytest.approx(np.log(2.0), abs=1e-6)
+    got = kld_loss(kl_teacher_terms(p_t, 1.0), p_s, 1.0).item()
+    assert got == pytest.approx(np.log(2.0), abs=1e-6)
 
 
 def test_kld_matches_brute_force_summation():
@@ -230,7 +230,7 @@ def test_kld_matches_brute_force_summation():
     for _ in range(100):
         p_t = rng.dirichlet(np.ones(5), size=4)
         p_s = rng.dirichlet(np.ones(5), size=4)
-        got = kld_loss(p_t, p_s).item()
+        got = kld_loss(kl_teacher_terms(p_t, 1.0), p_s, 1.0).item()
         want = 0.0
         for r in range(4):
             for c in range(5):
@@ -252,7 +252,7 @@ def test_kld_temperature_matches_resoftened_oracle():
 
     q_t, q_s = resoften(p_t), resoften(p_s)
     want = (q_t * (np.log(q_t) - np.log(q_s))).sum(axis=1).mean()
-    assert kld_loss(p_t, p_s, tau=tau).item() == pytest.approx(want, abs=1e-12)
+    assert kld_loss(kl_teacher_terms(p_t, tau), p_s, tau).item() == pytest.approx(want, abs=1e-12)
 
 
 def test_kld_resoftening_equals_softmax_of_scaled_logits():
@@ -271,19 +271,19 @@ def test_kld_nonnegative_and_shape_checked():
     for _ in range(20):
         p_t = rng.dirichlet(np.ones(3), size=2)
         p_s = rng.dirichlet(np.ones(3), size=2)
-        assert kld_loss(p_t, p_s).item() >= 0.0
+        assert kld_loss(kl_teacher_terms(p_t, 1.0), p_s, 1.0).item() >= 0.0
     with pytest.raises(ValueError):
-        kld_loss(np.ones((1, 3)) / 3, np.ones((1, 4)) / 4)
+        kld_loss(kl_teacher_terms(np.ones((1, 3)) / 3, 1.0), np.ones((1, 4)) / 4, 1.0)
     p = np.array([0.2, 0.3, 0.5])
     for rows in (p, p[None, None]):
         with pytest.raises(ValueError, match="2-d"):
-            kld_loss(rows, rows)
+            kld_loss(kl_teacher_terms(rows, 1.0), rows, 1.0)
 
 
 def test_kld_clamps_zero_components():
     p_t = np.array([[1.0, 0.0]])
     p_s = np.array([[0.0, 1.0]])
-    out = kld_loss(p_t, p_s).item()
+    out = kld_loss(kl_teacher_terms(p_t, 1.0), p_s, 1.0).item()
     assert np.isfinite(out)
     assert out == pytest.approx(np.log(1e12), rel=1e-6)
 
@@ -294,8 +294,8 @@ def test_kld_clamps_zero_components():
 def test_distance_zero_for_identical_inputs():
     G = _frozen_generator()
     y = np.array([[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]])
-    assert generation_distance(G, y, y, 1).item() == 0.0
-    assert generation_distance(G, y, y, 2).item() == 0.0
+    assert generation_distance(G, y, G(y).data, 1).item() == 0.0
+    assert generation_distance(G, y, G(y).data, 2).item() == 0.0
 
 
 def test_distance_symmetric():
@@ -304,8 +304,8 @@ def test_distance_symmetric():
     a = rng.dirichlet(np.ones(3), size=5)
     b = rng.dirichlet(np.ones(3), size=5)
     for p in (1, 2):
-        assert generation_distance(G, a, b, p).item() == pytest.approx(
-            generation_distance(G, b, a, p).item(), abs=1e-15)
+        assert generation_distance(G, a, G(b).data, p).item() == pytest.approx(
+            generation_distance(G, b, G(a).data, p).item(), abs=1e-15)
 
 
 def test_distance_matches_elementwise_oracle():
@@ -317,8 +317,8 @@ def test_distance_matches_elementwise_oracle():
     img_t = G(y_t).data
     want_l1 = np.abs(img_s - img_t).mean(axis=1).mean()
     want_l2 = np.sqrt(((img_s - img_t) ** 2).mean(axis=1)).mean()
-    assert generation_distance(G, y_s, y_t, 1).item() == pytest.approx(want_l1, abs=1e-10)
-    assert generation_distance(G, y_s, y_t, 2).item() == pytest.approx(want_l2, abs=1e-10)
+    assert generation_distance(G, y_s, img_t, 1).item() == pytest.approx(want_l1, abs=1e-10)
+    assert generation_distance(G, y_s, img_t, 2).item() == pytest.approx(want_l2, abs=1e-10)
 
 
 def test_distance_gradient_only_reaches_first_argument():
@@ -326,27 +326,39 @@ def test_distance_gradient_only_reaches_first_argument():
     rng = np.random.default_rng(10)
     y_s = Tensor(rng.dirichlet(np.ones(3), size=4), requires_grad=True)
     y_t = Tensor(rng.dirichlet(np.ones(3), size=4), requires_grad=True)
-    generation_distance(G, y_s, y_t, 1).backward()
+    generation_distance(G, y_s, G(y_t).data, 1).backward()
     assert y_s.grad is not None
     assert y_t.grad is None
     assert all(p.grad is None for p in G.params.values())
 
 
+
+def test_losses_take_the_teacher_half_as_arrays_only():
+    # a tensor teacher half would let the loss's gradient reach the teacher
+    G = _frozen_generator()
+    rng = np.random.default_rng(12)
+    y_s = Tensor(rng.dirichlet(np.ones(3), size=4), requires_grad=True)
+    y_t = Tensor(rng.dirichlet(np.ones(3), size=4), requires_grad=True)
+    with pytest.raises(TypeError):
+        generation_distance(G, y_s, G(y_t), 1)
+    with pytest.raises(TypeError):
+        kld_loss((y_t, np.log(y_t.data)), y_s, 1.0)
+
 def test_distance_validates_inputs():
     G = _frozen_generator()
     y = np.ones((2, 3)) / 3
     with pytest.raises(ValueError):
-        generation_distance(G, y, np.ones((3, 3)) / 3, 1)
+        generation_distance(G, y, G(np.ones((3, 3)) / 3).data, 1)
     with pytest.raises(ValueError):
-        generation_distance(G, y, y, 3)
+        generation_distance(G, y, G(y).data, 3)
     with pytest.raises(ValueError, match="2-d"):
-        generation_distance(G, y[0], y[0], 1)
+        generation_distance(G, y, G(y).data[0], 1)
 
 
 def test_distance_accepts_callable_generator():
     y = np.array([[0.5, 0.5]])
     z = np.array([[0.25, 0.75]])
-    dist = generation_distance(lambda t: t * 2.0, y, z, 1)
+    dist = generation_distance(lambda t: t * 2.0, y, z * 2.0, 1)
     assert dist.item() == pytest.approx(0.5, abs=1e-15)  # mean |2y - 2z|
 
 
@@ -368,8 +380,8 @@ def test_student_loss_decomposes():
         total, parts = student_loss(student, teacher, G, x, cfg)
         p_t = teacher.classify(x)
         p_s = student(x).data
-        term1 = generation_distance(G, p_s, p_t, p_norm).item()
-        term2 = kld_loss(p_t, p_s, tau).item()
+        term1 = generation_distance(G, p_s, G(p_t).data, p_norm).item()
+        term2 = kld_loss(kl_teacher_terms(p_t, tau), p_s, tau).item()
         assert parts["distance"] == pytest.approx(term1, abs=1e-10)
         assert parts["kld"] == pytest.approx(term2, abs=1e-10)
         assert total.item() == pytest.approx(alpha * term1 + beta * term2, abs=1e-10)
@@ -395,7 +407,7 @@ def test_student_loss_alpha_zero_is_pure_kd():
     teacher, student, G, x = _loss_setup(seed=20)
     cfg = DistillConfig(alpha=0.0, beta=1.0, tau=4.0)
     total, parts = student_loss(student, teacher, None, x, cfg)
-    want = kld_loss(teacher.classify(x), student(x).data, 4.0).item()
+    want = kld_loss(kl_teacher_terms(teacher.classify(x), 4.0), student(x).data, 4.0).item()
     assert total.item() == pytest.approx(want, abs=1e-12)
     assert parts["distance"] == 0.0
 
@@ -423,20 +435,6 @@ def test_missing_generator_raises_before_the_teacher_is_asked():
     with pytest.raises(ValueError, match="generator"):
         distill(student, teacher, None, ds, cfg, seed=0)
     assert teacher.query_count == 0
-
-
-def test_losses_take_the_teacher_side_computed_once():
-    G = _frozen_generator(num_classes=4, n=9, seed=8)
-    rng = np.random.default_rng(13)
-    y_s, p_t = rng.dirichlet(np.ones(4), size=(2, 6))
-    for p_norm in (1, 2):
-        want = generation_distance(G, y_s, p_t, p_norm).item()
-        image = teacher_image(G, p_t).data
-        assert generation_distance(G, y_s, None, p_norm, image_t=image).item() == want
-    for tau in (1.0, 4.0):
-        want = kld_loss(p_t, y_s, tau).item()
-        terms = [t.data for t in kl_teacher_terms(p_t, tau)]
-        assert kld_loss(None, y_s, tau, terms_t=terms).item() == want
 
 
 def test_student_loss_gen_tau_scales_both_feeds():

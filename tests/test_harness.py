@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from mekd.autodiff import no_grad
 from mekd.checkpoint import load as load_ckpt
 from mekd.cli import main
 from mekd.config import ConfigError, RunConfig
-from mekd.distill import generation_distance, kld_loss
+from mekd.data import Dataset
+from mekd.distill import generation_distance, generator_input, kl_teacher_terms, kld_loss
 from mekd.metrics import FrechetStats, frechet_distance, record_logit_gradients
 from mekd.optim import TrainingDiverged
 
@@ -383,6 +385,23 @@ def test_generator_fid_keeps_only_the_statistics_of_the_generated_rows(tiny_cfg,
     assert harness.generator_fid(tiny_cfg, G, train) == frechet_distance(rows, train.samples)
 
 
+
+def test_generator_fid_makes_the_reference_subset_after_the_generated_statistics(tiny_cfg):
+    # beyond FID_ROWS the reference subset is a temporary made once the
+    # generated rows are reduced to their statistics, so a 6000-row set peaks
+    # as a 2000-row one does (7.7 d^2 doubles; holding the subset gave 10.2)
+    d = 784
+    real = Dataset(np.random.default_rng(26).uniform(size=(6000, d)), np.zeros(6000), 10)
+    G = harness.build_role(tiny_cfg, "generator", d, 10)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        harness.generator_fid(tiny_cfg, G, real)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5 * d * d * 8
+
 def test_run_distill_requires_teacher_checkpoint(tiny_cfg, tmp_path):
     with pytest.raises(ConfigError, match="earlier stage"):
         harness.run_distill(tiny_cfg, str(tmp_path / "empty"), "mekd")
@@ -507,14 +526,73 @@ def test_run_grad_profile_mekd_rows_follow_the_distill_config(tiny_cfg, tmp_path
 
         def loss(logits):
             p_s = ad.softmax(logits)
-            dist = generation_distance(G, feed(p_s), feed(ad.constant(p_t)), 1)
-            return dist + kld_loss(p_t, p_s, tau=2.0)
+            dist = generation_distance(G, feed(p_s), G(feed(ad.constant(p_t))).data, 1)
+            return dist + kld_loss(kl_teacher_terms(p_t, 2.0), p_s, 2.0)
 
         want = record_logit_gradients(student, loss, x, k)
         assert profile == pytest.approx(list(want), rel=1e-9, abs=1e-12)
         checked += 1
     assert checked == 2
 
+
+
+def _profiles(rows) -> dict:
+    """{(evaluator, sample_index): the row's gradient values as int64 bits}."""
+    return {(name, i): np.array(profile).view(np.int64) for name, i, _, *profile in rows}
+
+
+def test_run_grad_profile_rows_equal_the_losses_written_term_by_term(tiny_cfg, tmp_path):
+    # kd is the KL at kd_tau with weight 1, mekd is alpha * distance + beta *
+    # KL, each term on its own softmax of the logits: equal to the last bit
+    out = str(tmp_path / "run")
+    _run_pipeline(tiny_cfg, out)
+    run = harness._Run(tiny_cfg, out)
+    teacher = run.load("teacher", "teacher.ckpt")
+    G = run.load("generator", "generator.ckpt")
+    student = run.build("student")
+    student.load_state_dict(load_ckpt(run.path("student_mekd.ckpt")))
+    kd_tau = tiny_cfg.get("distill", "kd_tau")
+    for keys in ({}, {"alpha": 0.5, "beta": 2.0, "tau": 2.0, "gen_input": "logits", "gen_tau": 3.0}):
+        cfg = tiny_cfg
+        for key, value in keys.items():
+            cfg = cfg.replace("distill", key, value)
+        dcfg = cfg.build("distill")
+        got = _profiles(harness.run_grad_profile(cfg, out, samples=2))
+        for name, i in got:
+            x = run.test.samples[i]
+            with no_grad():
+                p_t = teacher(x[None]).data
+
+            def kd(logits):
+                return kld_loss(kl_teacher_terms(p_t, kd_tau), ad.softmax(logits), kd_tau)
+
+            def mekd(logits, p_norm):
+                image_t = G(generator_input(ad.constant(p_t), dcfg)).data
+                dist = generation_distance(G, generator_input(ad.softmax(logits), dcfg),
+                                           image_t, p_norm)
+                kld = kld_loss(kl_teacher_terms(p_t, dcfg.tau), ad.softmax(logits), dcfg.tau)
+                return dist * dcfg.alpha + kld * dcfg.beta
+
+            loss = {"kd": kd, "mekd-l1": lambda lg: mekd(lg, 1),
+                    "mekd-l2": lambda lg: mekd(lg, 2)}.get(name)
+            if loss is not None:
+                want = record_logit_gradients(student, loss, x, int(run.test.labels[i]))
+                assert np.array_equal(got[name, i], want.view(np.int64)), (keys, name, i)
+
+
+def test_run_grad_profile_writes_every_evaluator_when_beta_is_zero(tiny_cfg, tmp_path):
+    # a distance-only config has no kd method to build, but its profile's kd
+    # rows are still the KL at kd_tau, the same as under the default config
+    out = str(tmp_path / "run")
+    _run_pipeline(tiny_cfg, out)
+    cfg = tiny_cfg.replace("distill", "beta", 0.0)
+    with pytest.raises(ValueError, match="at least one"):
+        harness.distill_config(cfg, "kd")
+    rows = harness.run_grad_profile(cfg, out, samples=2)
+    assert [row[0] for row in rows] == ["ce", "kd", "mekd-l1", "mekd-l2"] * 2
+    got, default = _profiles(rows), _profiles(harness.run_grad_profile(tiny_cfg, out, samples=2))
+    kd_keys = [key for key in got if key[0] == "kd"]
+    assert all(np.array_equal(got[key], default[key]) for key in kd_keys)
 
 def test_stages_load_datasets_once_and_split_only_on_demand(tiny_cfg, tmp_path, monkeypatch):
     # a disjoint split reads the training labels; a stage that never uses

@@ -7,7 +7,7 @@ import scipy.linalg
 
 from mekd import autodiff as ad
 from mekd.data import Dataset, synth_blobs
-from mekd.distill import kld_loss
+from mekd.distill import kl_teacher_terms, kld_loss
 from mekd.metrics import (
     FrechetStats,
     accuracy,
@@ -365,7 +365,7 @@ def test_gradient_profile_is_permutation():
     x = np.random.default_rng(17).uniform(size=6)
 
     def kd_loss(z):
-        return kld_loss(np.full((1, 5), 0.2), ad.softmax(z), 4.0)
+        return kld_loss(kl_teacher_terms(np.full((1, 5), 0.2), 4.0), ad.softmax(z), 4.0)
 
     plain = record_logit_gradients(net, kd_loss, x, 0)
     shuffled = record_logit_gradients(net, kd_loss, x, 3)

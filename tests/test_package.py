@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import mekd
@@ -34,3 +35,23 @@ def test_seed_sequences_come_only_from_spawn():
     found = [path.name for path in sorted(Path(mekd.__file__).parent.glob("*.py"))
              if "SeedSequence(" in path.read_text(encoding="utf-8").replace(spawn_source, "")]
     assert not found
+
+
+def test_benchmark_wraps_only_names_that_exist(monkeypatch):
+    # perfbench patches mekd's functions and methods by name: a rename or
+    # deletion of one fails here, and restore() puts every original back
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("tracer").Tracer()
+    modules = [importlib.import_module(f"mekd.{path.stem}")
+               for path in sorted(Path(mekd.__file__).parent.glob("*.py"))]
+    before = {(m.__name__, k): v for m in modules for k, v in vars(m).items()}
+    try:
+        layers.install_probes(tracer, layers.LabelAudit(), [])
+        layers.install_tracing(tracer)
+        assert distill.kld_loss is not before["mekd.distill", "kld_loss"]
+    finally:
+        tracer.restore()
+    after = {(m.__name__, k): v for m in modules for k, v in vars(m).items()}
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
