@@ -9,6 +9,9 @@ Parents are stored as tuples (never sets) so traversal order, and
 therefore floating-point accumulation order, is identical across runs:
 same seed, same bits.
 
+Ops take tensors (``add`` and ``mul`` also a python scalar second operand)
+and convert nothing; arrays enter through ``Tensor(...)`` or :func:`constant`.
+
 Gradient functions capture the forward arrays they need (inputs, masks,
 the output's values), never the output tensor itself.  A function held
 by the output that refers back to the output would make every graph a
@@ -42,12 +45,11 @@ output of every op except ``relu``, ``tanh``, ``sigmoid``, ``softmax`` and
 ``abs``: their output is finite for every finite input, and every input was
 itself checked when it was made.  (An optimizer step updates a parameter in
 place unchecked, but a network feeds its parameters only to the checked
-``linear``.)  One check is one BLAS dot of the values
-with themselves: a finite sum of squares proves every value finite, and
-only a non-finite one (or an overflowing one of finite values) pays the
-elementwise ``isfinite`` pass.  ``leaky_relu`` stays checked because its
-``alpha`` is unbounded, and ``clip`` because its bounds may be NaN or
-infinite.
+``linear``.)  One check is one BLAS dot of the values with themselves: a
+finite sum of squares proves every value finite, and only a non-finite one
+(or an overflowing one of finite values) pays the elementwise ``isfinite``
+pass.  ``leaky_relu`` stays checked because its ``alpha`` is unbounded,
+and ``clip`` because its bounds may be NaN or infinite.
 """
 
 from __future__ import annotations
@@ -144,9 +146,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return add(self, -other if isinstance(other, (int, float)) else mul(other, -1.0))
 
@@ -156,14 +155,8 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(self, other)
-
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def sum(self, axis=None):
         return reduce_sum(self, axis)
@@ -195,10 +188,6 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _finite(data: np.ndarray) -> bool:
@@ -246,10 +235,7 @@ def _same(g: np.ndarray) -> np.ndarray:
 def add(a: Tensor, b) -> Tensor:
     """Elementwise add of a same-shape tensor or a python scalar."""
     if isinstance(b, (int, float)):
-        a = _wrap(a)
         return _result(a.data + b, (a,), "add", (_same,))
-
-    a, b = _wrap(a), _wrap(b)
     if a.shape != b.shape:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
     return _result(a.data + b.data, (a, b), "add", (_same, _same))
@@ -257,11 +243,8 @@ def add(a: Tensor, b) -> Tensor:
 
 def mul(a: Tensor, b) -> Tensor:
     """Elementwise multiply by a same-shape tensor or a python scalar."""
-    a = _wrap(a)
     if isinstance(b, (int, float)):
         return _result(a.data * b, (a,), "mul", (lambda g: g * b,))
-
-    b = _wrap(b)
     if a.shape != b.shape:
         raise ValueError(f"mul shape mismatch: {a.shape} vs {b.shape}")
     return _result(a.data * b.data, (a, b), "mul",
@@ -269,7 +252,6 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} vs {b.shape}")
     return _result(a.data @ b.data, (a, b), "matmul",
@@ -278,7 +260,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` as one node: an (m, n) batch, (n, k) weights, a (k,) bias."""
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
     if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
             or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
         raise ValueError(f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
@@ -290,7 +271,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def matmul_t(a: Tensor, w: Tensor) -> Tensor:
     """``a @ w.T`` as one node, bit-identical to ``matmul(a, transpose(w))``."""
-    a, w = _wrap(a), _wrap(w)
     if a.data.ndim != 2 or w.data.ndim != 2 or a.shape[1] != w.shape[1]:
         raise ValueError(f"matmul_t shape mismatch: {a.shape} @ {w.shape}.T")
     wt = w.data.T.copy()
@@ -299,12 +279,10 @@ def matmul_t(a: Tensor, w: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    a = _wrap(a)
     return _result(a.data.T.copy(), (a,), "transpose", (lambda g: g.T,))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    a = _wrap(a)
     return _result(a.data.reshape(shape).copy(), (a,), "reshape",
                    (lambda g: g.reshape(a.shape),))
 
@@ -313,7 +291,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    a = _wrap(a)
     data = np.maximum(a.data, 0.0)
     data += 0.0  # relu(-0.0) is +0.0
     if not _needs_grad((a,)):
@@ -322,8 +299,7 @@ def relu(a: Tensor) -> Tensor:
     return _result(data, (a,), "relu", (lambda g: g * mask,))
 
 
-def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
-    a = _wrap(a)
+def leaky_relu(a: Tensor, alpha: float) -> Tensor:
     if not _needs_grad((a,)):
         return _result(np.maximum(a.data, alpha * a.data), (a,), "leaky_relu", ())
     slope = np.where(a.data > 0, 1.0, alpha)
@@ -331,13 +307,11 @@ def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
 
 
 def tanh(a: Tensor) -> Tensor:
-    a = _wrap(a)
     data = np.tanh(a.data)
     return _result(data, (a,), "tanh", (lambda g: g * (1.0 - data * data),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    a = _wrap(a)
     # Stable in both tails.
     data = np.empty_like(a.data)
     pos = a.data >= 0
@@ -349,7 +323,6 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def softmax(a: Tensor) -> Tensor:
     """Row-wise softmax over the last axis of a 2-d tensor."""
-    a = _wrap(a)
     if a.data.ndim != 2:
         raise ValueError(f"softmax expects a 2-d tensor, got shape {a.shape}")
     shifted = a.data - a.data.max(axis=1, keepdims=True)
@@ -360,7 +333,6 @@ def softmax(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    a = _wrap(a)
     with np.errstate(divide="raise", invalid="raise"):
         try:
             data = np.log(a.data)
@@ -371,26 +343,22 @@ def log(a: Tensor) -> Tensor:
 
 def sqrt(a: Tensor) -> Tensor:
     """Square root with subgradient 0 at exactly 0."""
-    a = _wrap(a)
     data = np.sqrt(a.data)
     return _result(data, (a,), "sqrt",
                    (lambda g: g * np.where(data > 0, 0.5 / np.where(data > 0, data, 1.0), 0.0),))
 
 
 def square(a: Tensor) -> Tensor:
-    a = _wrap(a)
     return _result(a.data * a.data, (a,), "square", (lambda g: g * 2.0 * a.data,))
 
 
 def absolute(a: Tensor) -> Tensor:
-    a = _wrap(a)
     sign = np.sign(a.data)
     return _result(np.abs(a.data), (a,), "abs", (lambda g: g * sign,))
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; gradient passes only through unclipped entries."""
-    a = _wrap(a)
     mask = (a.data >= lo) & (a.data <= hi)
     return _result(np.clip(a.data, lo, hi), (a,), "clip", (lambda g: g * mask,))
 
@@ -413,23 +381,18 @@ def _unreduce(g: np.ndarray, kept) -> np.ndarray:
 
 
 def reduce_sum(a: Tensor, axis=None) -> Tensor:
-    a = _wrap(a)
     data = np.add.reduce(a.data, axis)
     kept = _kept_shape(a.shape, axis)
 
     def grad(g):
-        g = _unreduce(g, kept)
-        if g.shape == a.shape:
-            return g
         out = np.empty(a.shape, g.dtype)
-        out[...] = g  # one broadcast pass, no intermediate view copy
+        out[...] = _unreduce(g, kept)  # one broadcast pass, no intermediate view copy
         return out
 
     return _result(np.asarray(data), (a,), "sum", (grad,))
 
 
 def reduce_mean(a: Tensor, axis=None) -> Tensor:
-    a = _wrap(a)
     count = a.data.size if axis is None else a.shape[axis]
     data = np.add.reduce(a.data, axis) / count  # what ndarray.mean computes, minus its helpers
     kept = _kept_shape(a.shape, axis)

@@ -68,7 +68,6 @@ class Dataset:
         return self._samples.shape[0]
 
     def take(self, indices) -> "Dataset":
-        indices = np.asarray(indices)
         return Dataset(self._samples[indices], self._labels[indices],
                        self.num_classes, self.value_range)
 
@@ -82,7 +81,7 @@ class Dataset:
 # -- IDX format -----------------------------------------------------------
 
 
-def parse_idx(image_bytes: bytes, label_bytes: bytes, num_classes: int | None = None) -> Dataset:
+def parse_idx(image_bytes: bytes, label_bytes: bytes, num_classes: int) -> Dataset:
     """Parse big-endian IDX image/label payloads into a Dataset (values byte/255)."""
     if len(image_bytes) < 16:
         raise IdxFormatError("image payload shorter than its 16-byte header")
@@ -108,8 +107,6 @@ def parse_idx(image_bytes: bytes, label_bytes: bytes, num_classes: int | None = 
     pixels = np.frombuffer(image_bytes, dtype=np.uint8, offset=16)
     samples = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
     labels = np.frombuffer(label_bytes, dtype=np.uint8, offset=8).astype(np.int64)
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1 if labels.size else 2
     return Dataset(samples, labels, num_classes)
 
 

@@ -13,8 +13,8 @@ batches to G.  Training (:func:`student_loss`) and the gradient profiles
 same loop with alpha = 0 and tau = kd_tau (see ``harness.distill_config``),
 so kd and mekd differ in both the distance weight and the KL temperature.
 
-Each loss takes the teacher's half already computed, as arrays:
-``kld_loss(kl_teacher_terms(p_t, tau), p_s, tau)`` and
+Each loss takes the teacher's half already computed, as arrays, and the
+student's as a tensor: ``kld_loss(kl_teacher_terms(p_t, tau), p_s, tau)`` and
 ``generation_distance(G, y_s, image_t, p_norm)`` with image_t = G(y_T).
 
 The teacher and the generator are frozen, so the teacher's half of the
@@ -177,9 +177,8 @@ class DistillConfig:
 # -- losses ---------------------------------------------------------------
 
 
-def _pair(a, b) -> tuple[Tensor, Tensor]:
-    """a and b as tensors, which must be 2-d batches of one shape."""
-    a, b = (t if isinstance(t, Tensor) else ad.constant(t) for t in (a, b))
+def _pair(a: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
+    """a and b, which must be 2-d batches of one shape."""
     if a.data.ndim != 2 or a.shape != b.shape:
         raise ValueError(f"expected two 2-d batches of one shape, got {a.shape} and {b.shape}")
     return a, b
@@ -205,7 +204,7 @@ def kl_teacher_terms(p_t: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarra
     return q.data, ad.log(q).data
 
 
-def kld_loss(terms_t, p_s, tau: float) -> Tensor:
+def kld_loss(terms_t, p_s: Tensor, tau: float) -> Tensor:
     """Batch-mean KL(p_t || p_s), components clamped at 1e-12, where
     terms_t is ``kl_teacher_terms(p_t, tau)`` (arrays, so no gradient reaches them)."""
     q, log_q = terms_t

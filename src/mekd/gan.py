@@ -83,11 +83,10 @@ def _clamped(d: Tensor) -> Tensor:
     return ad.clip(d, EPS, 1.0 - EPS)
 
 
-def discriminator_loss(D: Network, G: Network, x_batch, z_batch) -> Tensor:
+def discriminator_loss(D: Network, G: Network, x_batch: np.ndarray, z_batch) -> Tensor:
     """L_D = -(1/m) sum[ log D(x) + log(1 - D(G(z))) ]."""
-    x_data = x_batch.data if isinstance(x_batch, Tensor) else np.asarray(x_batch)
-    if len(x_data) != len(z_batch):
-        raise ValueError(f"batch size mismatch: {len(x_data)} real vs {len(z_batch)} noise")
+    if len(x_batch) != len(z_batch):
+        raise ValueError(f"batch size mismatch: {len(x_batch)} real vs {len(z_batch)} noise")
     with no_grad():
         fake = G(z_batch)
     d_real = _clamped(D(x_batch))

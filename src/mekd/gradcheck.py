@@ -12,10 +12,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .nets import LEAKY_SLOPE
+
+H = 1e-5  # central-difference step
+KINK_MARGIN = 0.08  # how far probes stay from a kink
 
 
-def numeric_gradient(f: Callable[..., float], arrays: Sequence[np.ndarray],
-                     h: float = 1e-5) -> list[np.ndarray]:
+def numeric_gradient(f: Callable[..., float], arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Central-difference gradient of f with respect to each input array."""
     grads = []
     for k, base in enumerate(arrays):
@@ -24,12 +27,12 @@ def numeric_gradient(f: Callable[..., float], arrays: Sequence[np.ndarray],
         gflat = g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + H
             up = f(*arrays)
-            flat[i] = orig - h
+            flat[i] = orig - H
             down = f(*arrays)
             flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * h)
+            gflat[i] = (up - down) / (2.0 * H)
         grads.append(g)
     return grads
 
@@ -42,11 +45,10 @@ def analytic_gradient(build: Callable[..., Tensor], arrays: Sequence[np.ndarray]
     return [leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data) for leaf in leaves]
 
 
-def max_relative_error(build: Callable[..., Tensor], arrays: Sequence[np.ndarray],
-                       h: float = 1e-5) -> float:
+def max_relative_error(build: Callable[..., Tensor], arrays: Sequence[np.ndarray]) -> float:
     """Worst relative disagreement between backprop and finite differences."""
     analytic = analytic_gradient(build, arrays)
-    numeric = numeric_gradient(lambda *xs: build(*[Tensor(x) for x in xs]).item(), list(arrays), h)
+    numeric = numeric_gradient(lambda *xs: build(*[Tensor(x) for x in xs]).item(), list(arrays))
     worst = 0.0
     for a, n in zip(analytic, numeric):
         scale = max(1.0, float(np.max(np.abs(n))) if n.size else 0.0)
@@ -54,11 +56,11 @@ def max_relative_error(build: Callable[..., Tensor], arrays: Sequence[np.ndarray
     return worst
 
 
-def _away_from(x: np.ndarray, points, margin: float = 0.08) -> np.ndarray:
-    """Push values at least ``margin`` away from each kink point."""
+def _away_from(x: np.ndarray, points) -> np.ndarray:
+    """Push values at least KINK_MARGIN away from each kink point."""
     for pt in points:
-        near = np.abs(x - pt) < margin
-        x = np.where(near, np.where(x >= pt, pt + margin, pt - margin), x)
+        near = np.abs(x - pt) < KINK_MARGIN
+        x = np.where(near, np.where(x >= pt, pt + KINK_MARGIN, pt - KINK_MARGIN), x)
     return x
 
 
@@ -73,31 +75,32 @@ def op_suite(seed: int) -> list[tuple[str, Callable[..., Tensor], list[np.ndarra
     b = rng.standard_normal(k)
     r = rng.standard_normal((m, k))  # random probe so all output entries matter
     rx = rng.standard_normal((m, n))
+    R, RX, R0, RX0, RXT = map(ad.constant, (r, rx, r[:, 0], rx[0], rx.T.copy()))
     kinky = _away_from(rng.standard_normal((m, n)), [0.0])
     clippy = _away_from(rng.standard_normal((m, n)), [-0.5, 0.5])
     positive = np.abs(rng.standard_normal((m, n))) + 0.5
     y2 = rng.standard_normal((m, n))
 
     cases = [
-        ("linear", lambda X, W, B: (ad.linear(X, W, B) * r).sum(), [x, w, b]),
-        ("matmul", lambda X, W: (ad.matmul(X, W) * r).sum(), [x, w]),
-        ("matmul_t", lambda X, W: (ad.matmul_t(X, W) * rx).sum(), [r, w]),
-        ("relu", lambda X: (ad.relu(X) * rx).sum(), [kinky]),
-        ("leaky_relu", lambda X: (ad.leaky_relu(X, 0.2) * rx).sum(), [kinky]),
-        ("tanh", lambda X: (ad.tanh(X) * rx).sum(), [x]),
-        ("sigmoid", lambda X: (ad.sigmoid(X) * rx).sum(), [x]),
-        ("softmax", lambda X: (ad.softmax(X) * rx).sum(), [x]),
-        ("log", lambda X: (ad.log(X) * rx).sum(), [positive]),
-        ("sqrt", lambda X: (ad.sqrt(X) * rx).sum(), [positive]),
-        ("square", lambda X: (ad.square(X) * rx).sum(), [x]),
-        ("abs", lambda X: (ad.absolute(X) * rx).sum(), [kinky]),
-        ("sum", lambda X: (X.sum(axis=1) * r[:, 0]).sum(), [x]),
-        ("mean", lambda X: (X.mean(axis=0) * rx[0]).sum() + X.mean(), [x]),
-        ("transpose", lambda X: (ad.transpose(X) * rx.T).sum(), [x]),
-        ("reshape", lambda X: (ad.reshape(X, (n, m)) * rx.T.copy()).sum(), [x]),
-        ("clip", lambda X: (ad.clip(X, -0.5, 0.5) * rx).sum(), [clippy]),
+        ("linear", lambda X, W, B: (ad.linear(X, W, B) * R).sum(), [x, w, b]),
+        ("matmul", lambda X, W: (ad.matmul(X, W) * R).sum(), [x, w]),
+        ("matmul_t", lambda X, W: (ad.matmul_t(X, W) * RX).sum(), [r, w]),
+        ("relu", lambda X: (ad.relu(X) * RX).sum(), [kinky]),
+        ("leaky_relu", lambda X: (ad.leaky_relu(X, LEAKY_SLOPE) * RX).sum(), [kinky]),
+        ("tanh", lambda X: (ad.tanh(X) * RX).sum(), [x]),
+        ("sigmoid", lambda X: (ad.sigmoid(X) * RX).sum(), [x]),
+        ("softmax", lambda X: (ad.softmax(X) * RX).sum(), [x]),
+        ("log", lambda X: (ad.log(X) * RX).sum(), [positive]),
+        ("sqrt", lambda X: (ad.sqrt(X) * RX).sum(), [positive]),
+        ("square", lambda X: (ad.square(X) * RX).sum(), [x]),
+        ("abs", lambda X: (ad.absolute(X) * RX).sum(), [kinky]),
+        ("sum", lambda X: (X.sum(axis=1) * R0).sum(), [x]),
+        ("mean", lambda X: (X.mean(axis=0) * RX0).sum() + X.mean(), [x]),
+        ("transpose", lambda X: (ad.transpose(X) * RXT).sum(), [x]),
+        ("reshape", lambda X: (ad.reshape(X, (n, m)) * RXT).sum(), [x]),
+        ("clip", lambda X: (ad.clip(X, -0.5, 0.5) * RX).sum(), [clippy]),
         ("mul", lambda A, B: (A * B).sum(), [x, y2]),
-        ("add_mul", lambda A, B: (((A + B) * 2.0 + 1.0) * rx).sum(), [x, y2]),
+        ("add_mul", lambda A, B: (((A + B) * 2.0 + 1.0) * RX).sum(), [x, y2]),
     ]
     return cases
 
@@ -108,6 +111,8 @@ def run_op_suite(shapes_per_op: int = 20, tol: float = 1e-4, seed: int = 0,
 
     Returns the worst relative error per op; raises AssertionError on failure.
     """
+    if shapes_per_op < 1:
+        raise ValueError(f"shapes_per_op must be >= 1, got {shapes_per_op}")
     worst: dict[str, float] = {}
     for trial in range(shapes_per_op):
         for name, build, arrays in op_suite(seed * 10_000 + trial):

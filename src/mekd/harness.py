@@ -15,7 +15,6 @@ from __future__ import annotations
 import fcntl
 import logging
 import os
-import re
 
 import numpy as np
 
@@ -297,6 +296,10 @@ def generator_fid(cfg: RunConfig, G: Network, real: Dataset, tag: int = 0) -> fl
         return frechet_distance(FrechetStats.from_samples(G(z).data), _fid_reference(seed, real))
 
 
+def snapshot_name(epoch: int) -> str:
+    return f"generator_epoch{epoch:04d}.ckpt"
+
+
 def run_train_gan(cfg: RunConfig, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     run = _Run(cfg, out_dir)
@@ -305,7 +308,7 @@ def run_train_gan(cfg: RunConfig, out_dir: str) -> dict:
 
     def on_epoch(epoch, G_now, _D, _rows):
         if epoch in snapshots:
-            checkpoint.save(run.path(f"generator_epoch{epoch:04d}.ckpt"), G_now.state_dict())
+            checkpoint.save(run.path(snapshot_name(epoch)), G_now.state_dict())
 
     G, gan_log = train_gan(run.build("generator"), run.build("discriminator"), gan_ds,
                            cfg.build("gan"), run.seed, epoch_callback=on_epoch)
@@ -364,22 +367,24 @@ def run_distill(cfg: RunConfig, out_dir: str, method: str) -> dict:
 
 
 def run_ablation_fid(cfg: RunConfig, out_dir: str) -> list[dict]:
+    """Distill once per snapshot that [gan] snapshot_epochs names below [gan]
+    epochs; other snapshot files in out_dir (an earlier run's) are ignored."""
     run = _Run(cfg, out_dir)
-    pattern = re.compile(r"generator_epoch(\d+)\.ckpt$")
-    found = sorted((int(m.group(1)), name)
-                   for name in os.listdir(out_dir) if (m := pattern.search(name)))
-    if len(found) < 2:
-        raise ConfigError(
-            f"FID ablation needs >= 2 generator snapshots in {out_dir}; found {len(found)} "
-            f"(set [gan] snapshot_epochs and rerun train-gan)")
+    epochs = sorted({e for e in cfg.get("gan", "snapshot_epochs") if e < cfg.get("gan", "epochs")})
+    if len(epochs) < 2:
+        raise ConfigError(f"FID ablation needs >= 2 generator snapshots; [gan] snapshot_epochs "
+                          f"names {len(epochs)} below [gan] epochs")
+    for epoch in epochs:
+        if not os.path.exists(run.path(snapshot_name(epoch))):
+            raise ConfigError(f"missing generator snapshot {snapshot_name(epoch)}; run train-gan")
 
     teacher = run.load("teacher", "teacher.ckpt")
     dcfg = distill_config(cfg, "mekd")
     _, distill_ds = run.splits()
 
     entries = []
-    for epoch, name in found:
-        G = run.load("generator", name)
+    for epoch in epochs:
+        G = run.load("generator", snapshot_name(epoch))
         entries.append((generator_fid(cfg, G, distill_ds, tag=epoch), epoch, G))
     entries.sort(key=lambda t: t[0])
 
@@ -420,12 +425,12 @@ def run_grad_profile(cfg: RunConfig, out_dir: str, samples: int = 8) -> list[lis
     p_norm 1 and 2.  Each is distill.objective, with one softmax per term."""
     run = _Run(cfg, out_dir)
     blind = BlindTeacher.from_network(run.load("teacher", "teacher.ckpt"))
-    G = run.load("generator", "generator.ckpt")
+    kd = DistillConfig(alpha=0.0, beta=1.0, tau=cfg.get("distill", "kd_tau"))
+    mekd = {p_norm: cfg.build("distill", p_norm=p_norm) for p_norm in (1, 2)}
+    G = run.load("generator", "generator.ckpt") if mekd[1].alpha > 0 else None
     student = run.build("student")  # trainable: the profiles are its gradients
     if os.path.exists(run.path("student_mekd.ckpt")):
         student.load_state_dict(checkpoint.load(run.path("student_mekd.ckpt")))
-    kd = DistillConfig(alpha=0.0, beta=1.0, tau=cfg.get("distill", "kd_tau"))
-    mekd = {p_norm: cfg.build("distill", p_norm=p_norm) for p_norm in (1, 2)}
 
     def loss(side, dcfg):
         return lambda lg: objective(G, side, ad.softmax(lg), ad.softmax(lg), dcfg)[0]

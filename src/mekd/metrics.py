@@ -67,15 +67,14 @@ class FrechetStats:
         return cls(mean, cov)
 
 
-def matrix_sqrt_psd(m: np.ndarray, sym_tol: float = 1e-8) -> np.ndarray:
+def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
     Eigenvalues below zero (numerical noise) are clamped; asymmetry beyond
-    tolerance and non-finite entries are errors rather than silently
+    1e-8 max|m| and non-finite entries are errors rather than silently
     symmetrized or passed to eigh.  Beyond ``m`` at most three d×d arrays
     are alive at once, besides eigh's own workspace.
     """
-    m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix_sqrt_psd needs a square matrix, got {m.shape}")
     hi, lo = float(m.max()), float(m.min())
@@ -84,7 +83,7 @@ def matrix_sqrt_psd(m: np.ndarray, sym_tol: float = 1e-8) -> np.ndarray:
     scale = max(1.0, hi, -lo)  # max |m| without an |m| copy
     buf = np.subtract(m, m.T)
     np.abs(buf, out=buf)
-    if buf.max() > sym_tol * scale:
+    if buf.max() > 1e-8 * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     np.add(m, m.T, out=buf)
     buf *= 0.5

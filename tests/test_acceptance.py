@@ -112,7 +112,7 @@ def test_criterion_02_loss_oracles():
                 qs = min(max(q_s[r, j], 1e-12), 1.0)
                 want += qt * (np.log(qt) - np.log(qs))
         want /= m
-        got = kld_loss(kl_teacher_terms(p_t, tau), p_s, tau).item()
+        got = kld_loss(kl_teacher_terms(p_t, tau), Tensor(p_s), tau).item()
         assert got == pytest.approx(want, abs=1e-10)
 
     # discriminator_loss / generator_loss vs clipped-log formulas on random nets

@@ -176,7 +176,7 @@ def test_linear_backward():
     w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
     b = Tensor(np.zeros(2), requires_grad=True)
     probe = rng.standard_normal((4, 2))
-    (ad.linear(x, w, b) * probe).sum().backward()
+    (ad.linear(x, w, b) * ad.constant(probe)).sum().backward()
     assert np.array_equal(b.grad, probe.sum(axis=0))
     assert np.array_equal(x.grad, probe @ w.data.T)
     assert np.array_equal(w.grad, x.data.T @ probe)

@@ -20,7 +20,7 @@ from mekd.distill import (
     teacher_side,
 )
 from mekd.nets import build_network
-from mekd.optim import SGD
+from mekd.optim import SGD, TrainingDiverged
 from specs import generator_spec, student_spec, teacher_spec
 
 
@@ -213,15 +213,16 @@ def test_blind_teacher_rejects_degenerate_class_count():
 
 def test_kld_identity_is_zero():
     p = np.array([[0.2, 0.3, 0.5]])
-    assert kld_loss(kl_teacher_terms(p, 1.0), p, 1.0).item() == 0.0
-    assert kld_loss(kl_teacher_terms(p, 4.0), p, 4.0).item() == pytest.approx(0.0, abs=1e-15)
+    assert kld_loss(kl_teacher_terms(p, 1.0), Tensor(p), 1.0).item() == 0.0
+    assert kld_loss(kl_teacher_terms(p, 4.0), Tensor(p), 4.0).item() == pytest.approx(
+        0.0, abs=1e-15)
 
 
 def test_kld_near_deterministic_teacher_vs_uniform():
     eps = 1e-9
     p_t = np.array([[1.0 - eps, eps]])
     p_s = np.array([[0.5, 0.5]])
-    got = kld_loss(kl_teacher_terms(p_t, 1.0), p_s, 1.0).item()
+    got = kld_loss(kl_teacher_terms(p_t, 1.0), Tensor(p_s), 1.0).item()
     assert got == pytest.approx(np.log(2.0), abs=1e-6)
 
 
@@ -230,7 +231,7 @@ def test_kld_matches_brute_force_summation():
     for _ in range(100):
         p_t = rng.dirichlet(np.ones(5), size=4)
         p_s = rng.dirichlet(np.ones(5), size=4)
-        got = kld_loss(kl_teacher_terms(p_t, 1.0), p_s, 1.0).item()
+        got = kld_loss(kl_teacher_terms(p_t, 1.0), Tensor(p_s), 1.0).item()
         want = 0.0
         for r in range(4):
             for c in range(5):
@@ -252,7 +253,8 @@ def test_kld_temperature_matches_resoftened_oracle():
 
     q_t, q_s = resoften(p_t), resoften(p_s)
     want = (q_t * (np.log(q_t) - np.log(q_s))).sum(axis=1).mean()
-    assert kld_loss(kl_teacher_terms(p_t, tau), p_s, tau).item() == pytest.approx(want, abs=1e-12)
+    assert kld_loss(kl_teacher_terms(p_t, tau), Tensor(p_s), tau).item() == pytest.approx(
+        want, abs=1e-12)
 
 
 def test_kld_resoftening_equals_softmax_of_scaled_logits():
@@ -271,19 +273,19 @@ def test_kld_nonnegative_and_shape_checked():
     for _ in range(20):
         p_t = rng.dirichlet(np.ones(3), size=2)
         p_s = rng.dirichlet(np.ones(3), size=2)
-        assert kld_loss(kl_teacher_terms(p_t, 1.0), p_s, 1.0).item() >= 0.0
+        assert kld_loss(kl_teacher_terms(p_t, 1.0), Tensor(p_s), 1.0).item() >= 0.0
     with pytest.raises(ValueError):
-        kld_loss(kl_teacher_terms(np.ones((1, 3)) / 3, 1.0), np.ones((1, 4)) / 4, 1.0)
+        kld_loss(kl_teacher_terms(np.ones((1, 3)) / 3, 1.0), Tensor(np.ones((1, 4)) / 4), 1.0)
     p = np.array([0.2, 0.3, 0.5])
     for rows in (p, p[None, None]):
         with pytest.raises(ValueError, match="2-d"):
-            kld_loss(kl_teacher_terms(rows, 1.0), rows, 1.0)
+            kld_loss(kl_teacher_terms(rows, 1.0), Tensor(rows), 1.0)
 
 
 def test_kld_clamps_zero_components():
     p_t = np.array([[1.0, 0.0]])
     p_s = np.array([[0.0, 1.0]])
-    out = kld_loss(kl_teacher_terms(p_t, 1.0), p_s, 1.0).item()
+    out = kld_loss(kl_teacher_terms(p_t, 1.0), Tensor(p_s), 1.0).item()
     assert np.isfinite(out)
     assert out == pytest.approx(np.log(1e12), rel=1e-6)
 
@@ -358,7 +360,7 @@ def test_distance_validates_inputs():
 def test_distance_accepts_callable_generator():
     y = np.array([[0.5, 0.5]])
     z = np.array([[0.25, 0.75]])
-    dist = generation_distance(lambda t: t * 2.0, y, z * 2.0, 1)
+    dist = generation_distance(lambda t: t * 2.0, Tensor(y), z * 2.0, 1)
     assert dist.item() == pytest.approx(0.5, abs=1e-15)  # mean |2y - 2z|
 
 
@@ -381,7 +383,7 @@ def test_student_loss_decomposes():
         p_t = teacher.classify(x)
         p_s = student(x).data
         term1 = generation_distance(G, p_s, G(p_t).data, p_norm).item()
-        term2 = kld_loss(kl_teacher_terms(p_t, tau), p_s, tau).item()
+        term2 = kld_loss(kl_teacher_terms(p_t, tau), Tensor(p_s), tau).item()
         assert parts["distance"] == pytest.approx(term1, abs=1e-10)
         assert parts["kld"] == pytest.approx(term2, abs=1e-10)
         assert total.item() == pytest.approx(alpha * term1 + beta * term2, abs=1e-10)
@@ -407,7 +409,7 @@ def test_student_loss_alpha_zero_is_pure_kd():
     teacher, student, G, x = _loss_setup(seed=20)
     cfg = DistillConfig(alpha=0.0, beta=1.0, tau=4.0)
     total, parts = student_loss(student, teacher, None, x, cfg)
-    want = kld_loss(kl_teacher_terms(teacher.classify(x), 4.0), student(x).data, 4.0).item()
+    want = kld_loss(kl_teacher_terms(teacher.classify(x), 4.0), student(x), 4.0).item()
     assert total.item() == pytest.approx(want, abs=1e-12)
     assert parts["distance"] == 0.0
 
@@ -550,6 +552,14 @@ def test_distill_rejects_unfrozen_generator():
     loose = build_network(generator_spec(3, 4), 3, seed=5)  # not frozen
     with pytest.raises(ValueError, match="frozen"):
         distill(student, teacher, loose, ds, cfg, seed=0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_distill_divergence_names_epoch_step_and_op():
+    ds, teacher, student, G, cfg = _train_setup()
+    with pytest.raises(TrainingDiverged,
+                       match=r"while distilling at epoch \d+ step \d+ \(op '\w+'\)"):
+        distill(student, teacher, G, ds, dataclasses.replace(cfg, lr=1e200), seed=0)
 
 
 def test_distill_rejects_missing_generator():

@@ -45,7 +45,7 @@ def test_max_relative_error_detects_wrong_gradient():
 
 def test_away_from_clears_margin():
     x = np.array([-0.02, 0.01, 0.5, -0.49])
-    out = _away_from(x, [0.0, -0.5], margin=0.08)
+    out = _away_from(x, [0.0, -0.5])
     assert np.all(np.abs(out - 0.0) >= 0.08 - 1e-12)
     assert np.all(np.abs(out - (-0.5)) >= 0.08 - 1e-12)
     assert out[2] == 0.5  # untouched: already clear of both points

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -316,13 +317,14 @@ def test_run_train_teacher_deterministic(tiny_cfg, tmp_path):
 
 
 def test_teacher_augmentation_changes_training(tiny_cfg, tmp_path):
-    flipped = tiny_cfg.replace("teacher", "hflip", True)
-    out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+    out_a = str(tmp_path / "a")
     harness.run_train_teacher(tiny_cfg, out_a)
-    harness.run_train_teacher(flipped, out_b)
     bytes_a = open(os.path.join(out_a, "teacher.ckpt"), "rb").read()
-    bytes_b = open(os.path.join(out_b, "teacher.ckpt"), "rb").read()
-    assert bytes_a != bytes_b
+    for key, value in (("hflip", True), ("crop_pad", 1)):
+        out_b = str(tmp_path / key)
+        harness.run_train_teacher(tiny_cfg.replace("teacher", key, value), out_b)
+        bytes_b = open(os.path.join(out_b, "teacher.ckpt"), "rb").read()
+        assert bytes_a != bytes_b, key
 
 
 def test_run_train_gan_outputs(tiny_cfg, tmp_path):
@@ -486,6 +488,32 @@ def test_run_ablation_requires_two_snapshots(tiny_cfg, tmp_path):
         harness.run_ablation_fid(tiny_cfg, out)
 
 
+def test_run_ablation_reads_only_the_snapshots_the_config_names(tiny_cfg, tmp_path):
+    # a second GAN trained into the same out_dir leaves the first one's
+    # snapshots behind; they must not join the second config's ablation
+    out = str(tmp_path / "run")
+    harness.run_train_teacher(tiny_cfg, out)
+    harness.run_train_gan(tiny_cfg, out)  # snapshots at epochs 1 and 4
+    second = tiny_cfg.replace("gan", "snapshot_epochs", (2, 3)).replace("gan", "lr_g", 0.02)
+    harness.run_train_gan(second, out)
+    rows = harness.run_ablation_fid(second, out)
+    assert sorted(row["gan_epoch"] for row in rows) == [2, 3]
+
+
+def test_run_ablation_names_a_missing_snapshot(tiny_cfg, tmp_path):
+    # epoch 6 is not below [gan] epochs = 6, so it is never saved nor asked for
+    cfg = tiny_cfg.replace("gan", "snapshot_epochs", (1, 4, 6))
+    out = str(tmp_path / "run")
+    with pytest.raises(ConfigError, match=">= 2 generator snapshots"):
+        harness.run_ablation_fid(cfg.replace("gan", "snapshot_epochs", (1, 6)), out)
+    harness.run_train_teacher(cfg, out)
+    harness.run_train_gan(cfg, out)
+    assert sorted(row["gan_epoch"] for row in harness.run_ablation_fid(cfg, out)) == [1, 4]
+    os.remove(os.path.join(out, harness.snapshot_name(4)))
+    with pytest.raises(ConfigError, match="generator_epoch0004.ckpt"):
+        harness.run_ablation_fid(cfg, out)
+
+
 def test_run_grad_profile_outputs(tiny_cfg, tmp_path):
     out = str(tmp_path / "run")
     _run_pipeline(tiny_cfg, out)
@@ -594,6 +622,17 @@ def test_run_grad_profile_writes_every_evaluator_when_beta_is_zero(tiny_cfg, tmp
     kd_keys = [key for key in got if key[0] == "kd"]
     assert all(np.array_equal(got[key], default[key]) for key in kd_keys)
 
+def test_run_grad_profile_needs_no_generator_when_alpha_is_zero(tiny_cfg, tmp_path):
+    # with alpha 0 no evaluator reads G, so a run without a GAN stage profiles
+    cfg = tiny_cfg.replace("distill", "alpha", 0.0)
+    out = str(tmp_path / "run")
+    harness.run_train_teacher(cfg, out)
+    harness.run_distill(cfg, out, "mekd")
+    rows = harness.run_grad_profile(cfg, out, samples=2)
+    assert [row[0] for row in rows] == ["ce", "kd", "mekd-l1", "mekd-l2"] * 2
+    assert not os.path.exists(os.path.join(out, "generator.ckpt"))
+
+
 def test_stages_load_datasets_once_and_split_only_on_demand(tiny_cfg, tmp_path, monkeypatch):
     # a disjoint split reads the training labels; a stage that never uses
     # the halves must not make it
@@ -632,6 +671,38 @@ def test_cli_gradcheck_ok(capsys):
     assert main(["gradcheck", "--trials", "1"]) == 0
     out = capsys.readouterr().out
     assert "gradcheck ok" in out
+
+
+def test_cli_gradcheck_without_trials_is_validation_error(capsys):
+    # no trials would check nothing, yet print "gradcheck ok"
+    for trials in ("0", "-1"):
+        assert main(["gradcheck", "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert "gradcheck ok" not in captured.out
+        assert "shapes_per_op" in captured.err
+
+
+def test_cli_runs_every_subcommand(tiny_ini_path, tmp_path, capsys):
+    common = ["--config", tiny_ini_path, "--out", str(tmp_path / "run")]
+    number = r"[-+.e0-9]+"
+    steps = [
+        (["train-teacher"], [rf"teacher_test_acc={number}"]),
+        (["train-gan"], [rf"gen_fid={number}"]),
+        (["distill", "--method", "mekd"],
+         [rf"method=mekd teacher_acc={number} student_acc={number}"]),
+        (["distill", "--method", "kd"], [rf"method=kd teacher_acc={number} student_acc={number}"]),
+        (["ablate-fid"], [rf"gen_fid={number} gan_epoch=[14] student_acc={number}"] * 2),
+        (["eval"], [rf"{key}={number}"
+                    for key in ("teacher_acc", "student_acc_mekd", "student_acc_kd", "gen_fid")]),
+        (["grad-profile", "--samples", "3"], ["wrote 12 gradient profiles"]),
+    ]
+    for argv, lines in steps:
+        assert main(argv[:1] + common + argv[1:]) == 0, argv
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == len(lines), (argv, out)
+        assert all(re.fullmatch(want, got) for want, got in zip(lines, out)), (argv, out)
+    assert main(["gradcheck", "--trials", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "gradcheck ok"
 
 
 def test_cli_missing_required_flag_is_validation_error(capsys):

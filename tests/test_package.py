@@ -1,10 +1,12 @@
+import argparse
 import importlib
 import inspect
+import re
 import sys
 from pathlib import Path
 
 import mekd
-from mekd import data, gan, harness
+from mekd import cli, data, gan, harness
 
 # the package's `distill` attribute is the function, not the module
 distill = importlib.import_module("mekd.distill")
@@ -55,3 +57,12 @@ def test_benchmark_wraps_only_names_that_exist(monkeypatch):
     after = {(m.__name__, k): v for m in modules for k, v in vars(m).items()}
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_readme_subcommand_table_lists_exactly_the_cli_subcommands():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Subcommands\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"^\| `([^`]+)`", table, flags=re.MULTILINE)
+    sub = next(action for action in cli._build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert sorted(listed) == sorted(sub.choices)
