@@ -203,10 +203,17 @@ def _finite(data: np.ndarray) -> bool:
 _ALWAYS_FINITE = frozenset({"relu", "tanh", "sigmoid", "softmax", "abs"})
 
 
+def checked(data: np.ndarray, op: str) -> np.ndarray:
+    """``data``, once it is known to be finite; otherwise :class:`NonFiniteError` names ``op``."""
+    if not _finite(data):
+        raise NonFiniteError(op)
+    return data
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], op: str, grads: tuple) -> Tensor:
     """The output node of ``op``; ``grads[i]`` maps its gradient to ``parents[i]``'s."""
-    if op not in _ALWAYS_FINITE and not _finite(data):
-        raise NonFiniteError(op)
+    if op not in _ALWAYS_FINITE:
+        checked(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None

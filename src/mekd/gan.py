@@ -6,6 +6,14 @@ wgan-gp, whose gradient penalty is built by unrolling the input-gradient
 of the critic as explicit graph operations (exact for MLPs: every
 activation derivative is expressed through the activation values, and
 piecewise-linear ones contribute constant masks).
+
+The default step, wgan-gp with a ``relu`` or ``leaky_relu`` generator and
+critic (:func:`takes_array_step`), runs as array code with its backward
+written out: :func:`wgan_critic_step` and :func:`wgan_generator_step` run
+the tape's numpy expressions and finiteness checks in the tape's order and
+hand each leaf gradient to ``Tensor._accumulate`` as ``Tensor.backward``
+would, so every output byte is the same.  The tape step, which vanilla and
+smooth-activation configs run, is their reference.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .data import Dataset, batches, spawn
-from .nets import HIDDEN_DERIVATIVE, PIECEWISE_LINEAR, Network
+from .nets import HIDDEN_DERIVATIVE, LEAKY_SLOPE, PIECEWISE_LINEAR, Network
 from .optim import SGD, TrainingDiverged, multistep_lr
 
 EPS = 1e-7
@@ -148,6 +156,130 @@ def wgan_generator_loss(D: Network, G: Network, z_batch: np.ndarray) -> Tensor:
     return -D.logits(G(z_batch)).mean()
 
 
+# -- the array step ---------------------------------------------------------
+#
+# Each expression is the one the named tape op computes.  leaky_relu is always
+# z * slope (bit-equal to its no-grad np.maximum form), slopes come from z's sign
+# (as from the activation's), and the ones and slopes go unchecked (finite).
+
+
+def takes_array_step(cfg: GanConfig, G: Network, D: Network) -> bool:
+    """Whether run_gan_epoch runs the array step rather than the tape."""
+    return (cfg.variant == "wgan-gp" and G.spec.activation in PIECEWISE_LINEAR
+            and D.spec.activation in PIECEWISE_LINEAR)
+
+
+def _affine(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    z = x @ w.data
+    z += b.data
+    return ad.checked(z, "linear")
+
+
+def _hidden(net: Network, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each layer's input (x first, the head's last) and each hidden activation's slope."""
+    leaky = net.spec.activation == "leaky_relu"
+    inputs, slopes = [x], []
+    for w, b in net.layers[:-1]:
+        z = _affine(inputs[-1], w, b)
+        if leaky:
+            slopes.append(np.where(z > 0, 1.0, LEAKY_SLOPE))
+            inputs.append(ad.checked(z * slopes[-1], "leaky_relu"))
+        else:
+            slopes.append((z > 0).astype(np.float64))
+            h = np.maximum(z, 0.0)
+            h += 0.0  # relu(-0.0) is +0.0
+            inputs.append(h)
+    return inputs, slopes
+
+
+def _mean(a: np.ndarray) -> np.floating:
+    return ad.checked(np.add.reduce(a, None) / a.size, "mean")
+
+
+def _backward(net: Network, inputs: list[np.ndarray], slopes: list[np.ndarray],
+              g: np.ndarray, train: bool = True) -> np.ndarray | None:
+    """Backprop g from net's head output, top layer down: with ``train`` into
+    each layer's weight and then bias leaf, else to the input, returned."""
+    for i in range(len(net.layers) - 1, -1, -1):
+        w, b = net.layers[i]
+        if train:
+            w._accumulate(inputs[i].T @ g)
+            b._accumulate(g.sum(axis=0))
+            if i == 0:
+                return None
+        g = g @ w.data.T
+        if i:
+            g = g * slopes[i - 1]
+    return g
+
+
+def _generate(G: Network, z_batch: np.ndarray):
+    """G(z_batch) with what its backward needs: (inputs, slopes, tanh output, images)."""
+    inputs, slopes = _hidden(G, ad.checked(z_batch, "leaf"))
+    t = np.tanh(_affine(inputs[-1], *G.layers[-1]))
+    lo, hi = G.spec.output_range
+    y = ad.checked(t + 1.0, "add")
+    y = ad.checked(y * (0.5 * (hi - lo)), "mul")
+    return inputs, slopes, t, ad.checked(y + lo, "add")
+
+
+def wgan_critic_step(D: Network, G: Network, x_batch: np.ndarray, z_batch: np.ndarray,
+                     gp_lambda: float, rng: np.random.Generator) -> tuple[float, float]:
+    """``wgan_discriminator_loss`` and its backward; returns (loss, gp).
+
+    D's leaves get the fake pass's gradients, top layer down, then the
+    real pass's, then the penalty's, layer 0 first.
+    """
+    m = len(x_batch)
+    fake = _generate(G, z_batch)[-1]
+    fake_pass = _hidden(D, fake)
+    mean_f = _mean(_affine(fake_pass[0][-1], *D.layers[-1]))
+    real_pass = _hidden(D, ad.checked(x_batch, "leaf"))
+    mean_r = _mean(_affine(real_pass[0][-1], *D.layers[-1]))
+    loss = ad.checked(mean_f + ad.checked(mean_r * -1.0, "mul"), "add")
+
+    # gradient_penalty: the input gradient unrolled from the interpolates' slopes
+    t = rng.uniform(size=(m, 1))
+    _, slopes = _hidden(D, ad.checked(t * x_batch + (1.0 - t) * fake, "leaf"))
+    wts = [w.data.T.copy() for w, _ in D.layers]
+    deltas = [np.ones((m, 1))]  # each layer's unroll input, top layer first
+    for i in range(len(D.layers) - 1, 0, -1):
+        a = ad.checked(deltas[-1] @ wts[i], "matmul_t")
+        deltas.append(ad.checked(a * slopes[i - 1], "mul"))
+    grad = ad.checked(deltas[-1] @ wts[0], "matmul_t")
+    sq = ad.checked(grad * grad, "square")
+    norms = ad.checked(np.sqrt(ad.checked(np.add.reduce(sq, 1), "sum")), "sqrt")
+    dev = ad.checked(norms + -1.0, "add")
+    gp = _mean(ad.checked(dev * dev, "square"))
+    total = ad.checked(loss + ad.checked(gp * gp_lambda, "mul"), "add")
+
+    _backward(D, *fake_pass, np.divide(1.0, m, out=np.empty((m, 1))))
+    _backward(D, *real_pass, np.divide(-1.0, m, out=np.empty((m, 1))))
+    g = np.divide(gp_lambda, m, out=np.empty(m)) * 2.0 * dev
+    g = g * np.where(norms > 0, 0.5 / np.where(norms > 0, norms, 1.0), 0.0)
+    g_sq = np.empty(sq.shape)
+    g_sq[...] = g.reshape((m, 1))
+    g = g_sq * 2.0 * grad
+    for i, ((w, _), a) in enumerate(zip(D.layers, reversed(deltas))):
+        w._accumulate((a.T @ g).T)
+        if i + 1 < len(D.layers):
+            g = (g @ wts[i].T) * slopes[i]
+    return float(total), float(gp)
+
+
+def wgan_generator_step(D: Network, G: Network, z_batch: np.ndarray) -> float:
+    """``wgan_generator_loss`` and its backward into G's leaves, top layer down; returns L_G."""
+    inputs, slopes, t, fake = _generate(G, z_batch)
+    critic_inputs, critic_slopes = _hidden(D, fake)
+    loss = ad.checked(_mean(_affine(critic_inputs[-1], *D.layers[-1])) * -1.0, "mul")
+    g = np.divide(-1.0, len(z_batch), out=np.empty((len(z_batch), 1)))
+    g = _backward(D, critic_inputs, critic_slopes, g, train=False)
+    lo, hi = G.spec.output_range
+    g = g * (0.5 * (hi - lo)) * (1.0 - t * t)
+    _backward(G, inputs, slopes, g)
+    return float(loss)
+
+
 # -- training loop --------------------------------------------------------
 
 
@@ -172,6 +304,7 @@ def run_gan_epoch(G: Network, D: Network, ds: Dataset, cfg: GanConfig, seed, epo
         np.random.default_rng(spawn(seed, KEY_GAN_EPOCH, epoch, stream)) for stream in range(3))
     idx_batches = batches(ds, min(cfg.m, len(ds)), seed=shuffle_rng, shuffle=True)
 
+    array_step = takes_array_step(cfg, G, D)
     rows = []
     step = 0
     for group_start in range(0, len(idx_batches), cfg.k):
@@ -181,29 +314,37 @@ def run_gan_epoch(G: Network, D: Network, ds: Dataset, cfg: GanConfig, seed, epo
             x_batch = ds.samples[idx]
             z_batch = sample_noise(cfg.prior, len(idx), G.spec.input_dim, noise_rng)
             opt_D.zero_grad()
-            if cfg.variant == "vanilla":
-                loss = discriminator_loss(D, G, x_batch, z_batch)
-                gp_value = 0.0
+            if array_step:
+                loss_d, gp_value = wgan_critic_step(D, G, x_batch, z_batch,
+                                                    cfg.gp_lambda, gp_rng)
             else:
-                loss, gp = wgan_discriminator_loss(D, G, x_batch, z_batch,
-                                                   cfg.gp_lambda, gp_rng)
-                gp_value = gp.item()
-            loss.backward()
+                if cfg.variant == "vanilla":
+                    loss = discriminator_loss(D, G, x_batch, z_batch)
+                    gp_value = 0.0
+                else:
+                    loss, gp = wgan_discriminator_loss(D, G, x_batch, z_batch,
+                                                       cfg.gp_lambda, gp_rng)
+                    gp_value = gp.item()
+                loss.backward()
+                loss_d = loss.item()
             opt_D.step()
-            loss_d = loss.item()
 
         z_batch = sample_noise(cfg.prior, cfg.m, G.spec.input_dim, noise_rng)
         opt_G.zero_grad()
-        with _fixed(D):
-            if cfg.variant == "vanilla":
-                loss_g = generator_loss(D, G, z_batch, cfg.generator_loss_mode)
-            else:
-                loss_g = wgan_generator_loss(D, G, z_batch)
-            loss_g.backward()
+        if array_step:
+            loss_g = wgan_generator_step(D, G, z_batch)
+        else:
+            with _fixed(D):
+                if cfg.variant == "vanilla":
+                    loss = generator_loss(D, G, z_batch, cfg.generator_loss_mode)
+                else:
+                    loss = wgan_generator_loss(D, G, z_batch)
+                loss.backward()
+            loss_g = loss.item()
         opt_G.step()
 
         rows.append({"epoch": epoch, "step": step, "L_D": loss_d,
-                     "L_G": loss_g.item(), "gp": gp_value})
+                     "L_G": loss_g, "gp": gp_value})
         step += 1
     return rows
 
@@ -219,6 +360,8 @@ def train_gan(G: Network, D: Network, ds: Dataset, cfg: GanConfig, seed,
             f"the latent dimension must equal the category count")
     if G.spec.output_dim != ds.n:
         raise ValueError(f"generator output width {G.spec.output_dim} != sample width {ds.n}")
+    if D.spec.input_dim != ds.n:
+        raise ValueError(f"discriminator input width {D.spec.input_dim} != sample width {ds.n}")
 
     clip_norm = cfg.clip_norm or None
     opt_G = SGD(G.params, cfg.lr_G, momentum=cfg.momentum, clip_norm=clip_norm)

@@ -199,6 +199,17 @@ def test_add_rejects_broadcast():
         ad.add(Tensor(np.ones((4, 3))), Tensor(np.zeros(3)))
 
 
+def test_mul_rejects_broadcast():
+    with pytest.raises(ValueError, match="mul shape mismatch"):
+        ad.mul(Tensor(np.ones((4, 3))), Tensor(np.zeros(3)))
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 4)])
+def test_softmax_rejects_non_2d(shape):
+    with pytest.raises(ValueError, match="softmax expects a 2-d tensor"):
+        ad.softmax(Tensor(np.zeros(shape)))
+
+
 def test_first_gradient_is_not_an_alias():
     # add hands one gradient array to both parents; storing it by
     # reference would let a's second contribution leak into b.grad.

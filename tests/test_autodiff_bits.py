@@ -16,7 +16,10 @@ from hypothesis.extra import numpy as hnp
 from mekd import autodiff as ad
 from mekd.autodiff import Tensor, no_grad
 from mekd.distill import BlindTeacher, DistillConfig, kl_teacher_terms, kld_loss, student_loss
-from mekd.gan import _fixed, wgan_discriminator_loss, wgan_generator_loss
+from mekd import gan
+from mekd.data import synth_blobs
+from mekd.gan import (GanConfig, _fixed, train_gan, wgan_critic_step,
+                      wgan_discriminator_loss, wgan_generator_loss, wgan_generator_step)
 from mekd.metrics import cross_entropy, record_logit_gradients
 from mekd.nets import NetworkSpec, build_network
 from specs import discriminator_spec, generator_spec, student_spec
@@ -81,6 +84,79 @@ def test_generator_loss_with_frozen_critic_matches_reference():
         _assert_leaf_gradients_match(loss, {**G.params, **{"D." + k: p for k, p in D.params.items()}})
     assert all(p.grad is None for p in D.params.values())
     assert all(p.requires_grad for p in D.params.values())
+
+
+# -- the array GAN step against the tape step --------------------------------
+
+_WIDTHS = st.one_of(st.just(()), st.tuples(st.integers(1, 9)),
+                    st.tuples(st.integers(1, 9), st.integers(1, 9)))
+
+
+def _grads(net):
+    return {name: None if p.grad is None else _bits(p.grad).tobytes()
+            for name, p in net.params.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["relu", "leaky_relu"]), st.sampled_from(["relu", "leaky_relu"]),
+       _WIDTHS, _WIDTHS, st.integers(1, 9), st.integers(2, 4), st.integers(1, 6),
+       st.sampled_from([0.0, 10.0]), st.integers(0, 2**32 - 1))
+def test_array_gan_step_matches_tape_bit_for_bit(g_act, d_act, g_hidden, d_hidden, m,
+                                                 classes, n, gp_lambda, seed):
+    rng = np.random.default_rng(seed)
+    G = build_network(NetworkSpec("generator", classes, g_hidden, n, activation=g_act,
+                                  output_range=(-0.3, 1.2)), classes, seed=rng.integers(2**32))
+    D = build_network(NetworkSpec("discriminator", n, d_hidden, 1, activation=d_act),
+                      classes, seed=rng.integers(2**32))
+    x, z = rng.uniform(size=(m, n)), rng.standard_normal((m, classes))
+    gp_seed = rng.integers(2**32)
+
+    def run_critic(array):
+        for p in (*D.params.values(), *G.params.values()):
+            p.grad = None
+        gp_rng = np.random.default_rng(gp_seed)
+        if array:
+            return wgan_critic_step(D, G, x, z, gp_lambda, gp_rng), _grads(D), _grads(G)
+        loss, gp = wgan_discriminator_loss(D, G, x, z, gp_lambda, gp_rng)
+        loss.backward()
+        return (loss.item(), gp.item()), _grads(D), _grads(G)
+
+    def run_generator(array):
+        for p in (*D.params.values(), *G.params.values()):
+            p.grad = None
+        if array:
+            return wgan_generator_step(D, G, z), _grads(D), _grads(G)
+        with _fixed(D):
+            loss = wgan_generator_loss(D, G, z)
+            loss.backward()
+        return loss.item(), _grads(D), _grads(G)
+
+    for run in (run_critic, run_generator):
+        (got, *got_grads), (want, *want_grads) = run(True), run(False)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert got_grads == want_grads
+    assert all(p.grad is None for p in D.params.values())  # the generator step
+    assert all(p.grad is not None for p in G.params.values())
+
+
+def test_train_gan_array_step_matches_tape_step(monkeypatch):
+    def tiny():
+        ds = synth_blobs(2, 4, per_class=8, spread=0.05, seed=0)
+        G = build_network(generator_spec(2, 4), 2, seed=1)
+        D = build_network(discriminator_spec(4), 2, seed=2)
+        return ds, G, D, GanConfig(m=4, k=2, epochs=2, lr_G=0.05, lr_D=0.05)
+
+    ds, G, D, cfg = tiny()
+    assert gan.takes_array_step(cfg, G, D)
+    array_G, array_log = train_gan(G, D, ds, cfg, seed=3)
+    array_D = D
+    monkeypatch.setattr(gan, "takes_array_step", lambda *args: False)
+    ds, G, D, cfg = tiny()
+    tape_G, tape_log = train_gan(G, D, ds, cfg, seed=3)
+    assert array_log == tape_log and len(tape_log) == 4
+    for got, want in ((array_G, tape_G), (array_D, D)):
+        for name, p in want.params.items():
+            assert np.array_equal(_bits(got.params[name].data), _bits(p.data)), name
 
 
 @pytest.mark.parametrize("cfg", [DistillConfig(p_norm=1), DistillConfig(p_norm=2),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mekd import autodiff as ad
+from mekd import gan
 from mekd.autodiff import Tensor
 from mekd.data import synth_blobs
 from mekd.gan import (
@@ -12,6 +13,7 @@ from mekd.gan import (
     input_gradient,
     run_gan_epoch,
     sample_noise,
+    takes_array_step,
     train_gan,
     wgan_discriminator_loss,
     wgan_generator_loss,
@@ -371,6 +373,43 @@ def test_train_gan_output_width_contract():
         train_gan(G, D, ds, GanConfig(m=4, epochs=1), seed=0)
 
 
+def test_train_gan_discriminator_width_contract():
+    ds = synth_blobs(2, 4, per_class=4, spread=0.05, seed=0)
+    G = build_network(generator_spec(2, 4), 2, seed=1)
+    D = build_network(discriminator_spec(9), 2, seed=2)
+    with pytest.raises(ValueError, match="discriminator input width"):
+        train_gan(G, D, ds, GanConfig(m=4, epochs=1), seed=0)
+
+
+@pytest.mark.parametrize("variant, g_act, d_act, want", [
+    ("wgan-gp", "relu", "leaky_relu", True),
+    ("wgan-gp", "leaky_relu", "relu", True),
+    ("wgan-gp", "relu", "tanh", False),
+    ("wgan-gp", "sigmoid", "leaky_relu", False),
+    ("vanilla", "relu", "leaky_relu", False),
+])
+def test_array_step_selection(variant, g_act, d_act, want):
+    G = build_network(NetworkSpec("generator", 2, (4,), 3, activation=g_act), 2, seed=0)
+    D = build_network(NetworkSpec("discriminator", 3, (4,), 1, activation=d_act), 2, seed=0)
+    assert takes_array_step(GanConfig(variant=variant), G, D) is want
+
+
+def test_train_gan_smooth_critic_runs_the_tape_step(monkeypatch):
+    ds, G, _, cfg = _tiny_setup(variant="wgan-gp", epochs=1)
+    D = build_network(NetworkSpec("discriminator", 4, (8,), 1, activation="tanh"), 2, seed=2)
+    assert not takes_array_step(cfg, G, D)
+
+    def no_array_step(*args):
+        raise AssertionError("array step taken")
+    monkeypatch.setattr(gan, "wgan_critic_step", no_array_step)
+    monkeypatch.setattr(gan, "wgan_generator_step", no_array_step)
+    before = D.state_dict()
+    _, log = train_gan(G, D, ds, cfg, seed=0)
+    assert len(log) == 2
+    assert all(np.isfinite([row["L_D"], row["L_G"]]).all() and row["gp"] > 0 for row in log)
+    assert any(not np.array_equal(before[k], p.data) for k, p in D.params.items())
+
+
 def test_train_gan_role_contract():
     ds, G, D, cfg = _tiny_setup()
     with pytest.raises(ValueError):
@@ -411,12 +450,22 @@ def test_train_gan_k_groups_batches():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_train_gan_divergence_reports_epoch():
+def test_train_gan_divergence_reports_epoch(monkeypatch):
     ds, G, D, _ = _tiny_setup()
     cfg = GanConfig(m=8, epochs=50, variant="wgan-gp", lr_G=1e12, lr_D=1e12,
                     momentum=0.0, clip_norm=0.0)
     with pytest.raises(TrainingDiverged, match="epoch"):
         train_gan(G, D, ds, cfg, seed=0)
+    # the array step diverges where the tape step does, naming the same op
+    assert takes_array_step(cfg, G, D)
+    messages = []
+    for array_step in (True, False):
+        ds, G, D, _ = _tiny_setup()
+        monkeypatch.setattr(gan, "takes_array_step", lambda *args, take=array_step: take)
+        with pytest.raises(TrainingDiverged) as info:
+            train_gan(G, D, ds, cfg, seed=0)
+        messages.append((info.value.__cause__.op, str(info.value)))
+    assert messages[0] == messages[1]
 
 
 def test_logged_losses_recomputable_from_initial_checkpoint():
