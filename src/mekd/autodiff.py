@@ -210,6 +210,12 @@ def checked(data: np.ndarray, op: str) -> np.ndarray:
     return data
 
 
+def checked_mean(data: np.ndarray, axis=None):
+    """What :func:`reduce_mean` computes from data's values, checked under its op name."""
+    count = data.size if axis is None else data.shape[axis]
+    return checked(np.add.reduce(data, axis) / count, "mean")
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], op: str, grads: tuple) -> Tensor:
     """The output node of ``op``; ``grads[i]`` maps its gradient to ``parents[i]``'s."""
     if op not in _ALWAYS_FINITE:
@@ -332,11 +338,19 @@ def softmax(a: Tensor) -> Tensor:
     """Row-wise softmax over the last axis of a 2-d tensor."""
     if a.data.ndim != 2:
         raise ValueError(f"softmax expects a 2-d tensor, got shape {a.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=1, keepdims=True)
-    return _result(data, (a,), "softmax",
-                   (lambda g: data * (g - (g * data).sum(axis=1, keepdims=True)),))
+    data = softmax_rows(a.data)
+    return _result(data, (a,), "softmax", (lambda g: softmax_grad(data, g),))
+
+
+def softmax_rows(a: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a 2-d array: the values :func:`softmax` computes."""
+    e = np.exp(a - a.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def softmax_grad(data: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient at softmax's input, for its output values data and output gradient g."""
+    return data * (g - (g * data).sum(axis=1, keepdims=True))
 
 
 def log(a: Tensor) -> Tensor:

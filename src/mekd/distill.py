@@ -10,8 +10,14 @@ with the distance taken per image as (mean_j |d_j|^p)^(1/p) and averaged
 over the batch; :func:`generator_input` feeds both sides' 2-d probability
 batches to G.  Training (:func:`student_loss`) and the gradient profiles
 (``harness.run_grad_profile``) both call it.  The baseline kd method is the
-same loop with alpha = 0 and tau = kd_tau (see ``harness.distill_config``),
-so kd and mekd differ in both the distance weight and the KL temperature.
+same loop on the KL alone, at tau = kd_tau with weight 1 (alpha = 0, beta =
+1; see ``harness.distill_config``), so kd and mekd differ in both the
+distance weight and the KL temperature.
+
+A ``relu`` or ``leaky_relu`` student (and generator network, when alpha >
+0) trains through :func:`student_step`, array code that runs the tape's
+expressions and checks in its order, so every byte is the same; the tape
+step, which smooth activations and callable generators run, is its reference.
 
 Each loss takes the teacher's half already computed, as arrays, and the
 student's as a tensor: ``kld_loss(kl_teacher_terms(p_t, tau), p_s, tau)`` and
@@ -42,7 +48,8 @@ from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .data import Dataset, batches, spawn
 from .metrics import PROB_FLOOR, accuracy
-from .nets import Network
+from .nets import (PIECEWISE_LINEAR, Network, backward_pass, classifier_pass,
+                   generator_backward, generator_pass)
 from .optim import SGD, TrainingDiverged, multistep_lr
 
 GEN_INPUTS = ("probs", "logits")
@@ -366,6 +373,114 @@ def student_loss(student: Network, teacher: BlindTeacher, generator,
     return objective(generator, side, probs_s, probs_s, cfg)
 
 
+# -- the array step ---------------------------------------------------------
+
+
+def takes_array_step(cfg: DistillConfig, student: Network, generator) -> bool:
+    """Whether distill runs :func:`student_step` rather than the tape."""
+    return student.spec.activation in PIECEWISE_LINEAR and (
+        cfg.alpha == 0 or (isinstance(generator, Network)
+                           and generator.spec.activation in PIECEWISE_LINEAR))
+
+
+def _log_clip(p: np.ndarray, tau: float = 1.0):
+    """ad.log(ad.clip(p, PROB_FLOOR, 1.0)) [* (1.0 / tau)] of an array, and its backward."""
+    mask = (p >= PROB_FLOOR) & (p <= 1.0)
+    c = ad.checked(np.clip(p, PROB_FLOOR, 1.0), "clip")
+    y = ad.checked(np.log(c), "log")
+    if tau == 1.0:
+        return y, lambda g: g / c * mask
+    scale = 1.0 / tau
+    return ad.checked(y * scale, "mul"), lambda g: g * scale / c * mask
+
+
+def _resoftened(p: np.ndarray, tau: float):
+    """:func:`_resoften` of an array, and its backward."""
+    z, back = _log_clip(p, tau)
+    s = ad.softmax_rows(z)
+    return s, lambda g: back(ad.softmax_grad(s, g))
+
+
+def _feed(p: np.ndarray, cfg: DistillConfig):
+    """:func:`generator_input` of an array, and its backward."""
+    if cfg.gen_input == "logits":
+        return _log_clip(p, cfg.gen_tau)
+    if cfg.gen_tau == 1.0:
+        return p, lambda g: g
+    return _resoftened(p, cfg.gen_tau)
+
+
+def _distance(generator: Network, probs: np.ndarray, image_t: np.ndarray,
+              cfg: DistillConfig):
+    """generation_distance of the student's feed as an array, and its backward."""
+    y, feed_back = _feed(probs, cfg)
+    inputs, slopes, t, image_s = generator_pass(generator, y)
+    image_t = ad.checked(image_t, "leaf")
+    diff = ad.checked(image_s + ad.checked(image_t * -1.0, "mul"), "add")
+    m, n = diff.shape
+    if cfg.p_norm == 1:
+        per_image = ad.checked_mean(np.abs(diff), 1)
+    else:
+        per_image = ad.checked(np.sqrt(ad.checked_mean(ad.checked(diff * diff, "square"), 1)),
+                               "sqrt")
+
+    def back(g):
+        g = np.divide(g, m, out=np.empty(m))
+        if cfg.p_norm == 1:
+            g = np.divide(g.reshape((m, 1)), n, out=np.empty((m, n))) * np.sign(diff)
+        else:
+            g = g * np.where(per_image > 0, 0.5 / np.where(per_image > 0, per_image, 1.0), 0.0)
+            g = np.divide(g.reshape((m, 1)), n, out=np.empty((m, n))) * 2.0 * diff
+        return feed_back(generator_backward(generator, inputs, slopes, t, g, train=False))
+
+    return ad.checked_mean(per_image), back
+
+
+def _kld(side: TeacherSide, probs: np.ndarray, tau: float):
+    """kld_loss of the student's probabilities as an array, and its backward."""
+    q, log_q = ad.checked(side.p, "leaf"), ad.checked(side.log_p, "leaf")
+    p, soft_back = (probs, lambda g: g) if tau == 1.0 else _resoftened(probs, tau)
+    log_p, log_back = _log_clip(p)
+    qd = ad.checked(q * ad.checked(log_q + ad.checked(log_p * -1.0, "mul"), "add"), "mul")
+    per_row = ad.checked(np.add.reduce(qd, 1), "sum")
+    m = len(per_row)
+
+    def back(g):
+        g_qd = np.empty(qd.shape)
+        g_qd[...] = np.divide(g, m, out=np.empty(m)).reshape((m, 1))
+        return soft_back(log_back(g_qd * q * -1.0))
+
+    return ad.checked_mean(per_row), back
+
+
+def student_step(student: Network, teacher: BlindTeacher, generator: Network | None,
+                 x_batch: np.ndarray, cfg: DistillConfig,
+                 sides: TeacherSideTable | None = None) -> tuple[float, dict]:
+    """:func:`student_loss` and its backward into the student's leaves, for
+    networks that pass :func:`takes_array_step`; returns the loss and its parts
+    as floats.  The distance's and the KL's gradients meet in one (commuting) sum."""
+    x_batch = np.asarray(x_batch, dtype=np.float64)
+    p_t = teacher.classify(x_batch)
+    inputs, slopes, probs = classifier_pass(student, x_batch)
+    side = sides.side(p_t) if sides is not None else teacher_side(generator, p_t, cfg)
+    parts = {"distance": 0.0, "kld": 0.0}
+    terms = []
+    if cfg.alpha > 0:
+        dist, dist_back = _distance(generator, probs, side.image, cfg)
+        parts["distance"] = float(dist)
+        terms.append((ad.checked(dist * cfg.alpha, "mul"), cfg.alpha, dist_back))
+    if cfg.beta > 0:
+        kld, kld_back = _kld(side, probs, cfg.tau)
+        parts["kld"] = float(kld)
+        terms.append((ad.checked(kld * cfg.beta, "mul"), cfg.beta, kld_back))
+    total = terms[0][0] if len(terms) == 1 else ad.checked(terms[0][0] + terms[1][0], "add")
+    root = np.ones_like(total)
+    grads = [back(root * weight) for _, weight, back in terms]
+    g = grads[0] if len(grads) == 1 else grads[0] + grads[1]
+    backward_pass(student, inputs, slopes, ad.softmax_grad(probs, g))
+    return float(total), parts
+
+
 # -- training loop --------------------------------------------------------
 
 
@@ -383,12 +498,15 @@ def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
     if student.spec.output_dim != teacher.num_classes:
         raise ValueError(
             f"student width {student.spec.output_dim} != teacher classes {teacher.num_classes}")
+    if student.spec.input_dim != ds.n:
+        raise ValueError(f"student input width {student.spec.input_dim} != sample width {ds.n}")
     if cfg.alpha > 0 and isinstance(generator, Network) and any(
             p.requires_grad for p in generator.params.values()):
         raise ValueError("generator must be frozen before distillation")
 
     m = min(cfg.m, len(ds))
     sides = TeacherSideTable(generator, cfg, m, capacity=len(ds))
+    array_step = takes_array_step(cfg, student, generator)
     opt = SGD(student.params, cfg.lr, momentum=cfg.momentum)
     log: list[dict] = []
     for epoch in range(cfg.epochs):
@@ -400,14 +518,19 @@ def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
         for step, idx in enumerate(idx_batches):
             opt.zero_grad()
             try:
-                loss, parts = student_loss(student, teacher, generator, ds.samples[idx], cfg, sides)
-                loss.backward()
+                args = (student, teacher, generator, ds.samples[idx], cfg, sides)
+                if array_step:
+                    total, parts = student_step(*args)
+                else:
+                    loss, parts = student_loss(*args)
+                    loss.backward()
+                    total = loss.item()
             except ad.NonFiniteError as e:
                 raise TrainingDiverged(
                     f"non-finite value while distilling at epoch {epoch} step {step} "
                     f"(op {e.op!r})") from e
             opt.step()
-            sums["total"] += loss.item()
+            sums["total"] += total
             sums["distance"] += parts["distance"]
             sums["kld"] += parts["kld"]
         steps = len(idx_batches)

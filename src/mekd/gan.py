@@ -26,7 +26,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .data import Dataset, batches, spawn
-from .nets import HIDDEN_DERIVATIVE, LEAKY_SLOPE, PIECEWISE_LINEAR, Network
+from .nets import (HIDDEN_DERIVATIVE, PIECEWISE_LINEAR, Network, affine, backward_pass,
+                   generator_backward, generator_pass, hidden_pass)
 from .optim import SGD, TrainingDiverged, multistep_lr
 
 EPS = 1e-7
@@ -158,69 +159,14 @@ def wgan_generator_loss(D: Network, G: Network, z_batch: np.ndarray) -> Tensor:
 
 # -- the array step ---------------------------------------------------------
 #
-# Each expression is the one the named tape op computes.  leaky_relu is always
-# z * slope (bit-equal to its no-grad np.maximum form), slopes come from z's sign
-# (as from the activation's), and the ones and slopes go unchecked (finite).
+# Each expression is the one the named tape op computes; the layer walk is
+# nets.hidden_pass and nets.backward_pass.  The ones go unchecked (finite).
 
 
 def takes_array_step(cfg: GanConfig, G: Network, D: Network) -> bool:
     """Whether run_gan_epoch runs the array step rather than the tape."""
     return (cfg.variant == "wgan-gp" and G.spec.activation in PIECEWISE_LINEAR
             and D.spec.activation in PIECEWISE_LINEAR)
-
-
-def _affine(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
-    z = x @ w.data
-    z += b.data
-    return ad.checked(z, "linear")
-
-
-def _hidden(net: Network, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Each layer's input (x first, the head's last) and each hidden activation's slope."""
-    leaky = net.spec.activation == "leaky_relu"
-    inputs, slopes = [x], []
-    for w, b in net.layers[:-1]:
-        z = _affine(inputs[-1], w, b)
-        if leaky:
-            slopes.append(np.where(z > 0, 1.0, LEAKY_SLOPE))
-            inputs.append(ad.checked(z * slopes[-1], "leaky_relu"))
-        else:
-            slopes.append((z > 0).astype(np.float64))
-            h = np.maximum(z, 0.0)
-            h += 0.0  # relu(-0.0) is +0.0
-            inputs.append(h)
-    return inputs, slopes
-
-
-def _mean(a: np.ndarray) -> np.floating:
-    return ad.checked(np.add.reduce(a, None) / a.size, "mean")
-
-
-def _backward(net: Network, inputs: list[np.ndarray], slopes: list[np.ndarray],
-              g: np.ndarray, train: bool = True) -> np.ndarray | None:
-    """Backprop g from net's head output, top layer down: with ``train`` into
-    each layer's weight and then bias leaf, else to the input, returned."""
-    for i in range(len(net.layers) - 1, -1, -1):
-        w, b = net.layers[i]
-        if train:
-            w._accumulate(inputs[i].T @ g)
-            b._accumulate(g.sum(axis=0))
-            if i == 0:
-                return None
-        g = g @ w.data.T
-        if i:
-            g = g * slopes[i - 1]
-    return g
-
-
-def _generate(G: Network, z_batch: np.ndarray):
-    """G(z_batch) with what its backward needs: (inputs, slopes, tanh output, images)."""
-    inputs, slopes = _hidden(G, ad.checked(z_batch, "leaf"))
-    t = np.tanh(_affine(inputs[-1], *G.layers[-1]))
-    lo, hi = G.spec.output_range
-    y = ad.checked(t + 1.0, "add")
-    y = ad.checked(y * (0.5 * (hi - lo)), "mul")
-    return inputs, slopes, t, ad.checked(y + lo, "add")
 
 
 def wgan_critic_step(D: Network, G: Network, x_batch: np.ndarray, z_batch: np.ndarray,
@@ -231,16 +177,16 @@ def wgan_critic_step(D: Network, G: Network, x_batch: np.ndarray, z_batch: np.nd
     real pass's, then the penalty's, layer 0 first.
     """
     m = len(x_batch)
-    fake = _generate(G, z_batch)[-1]
-    fake_pass = _hidden(D, fake)
-    mean_f = _mean(_affine(fake_pass[0][-1], *D.layers[-1]))
-    real_pass = _hidden(D, ad.checked(x_batch, "leaf"))
-    mean_r = _mean(_affine(real_pass[0][-1], *D.layers[-1]))
+    fake = generator_pass(G, ad.checked(z_batch, "leaf"))[-1]
+    fake_pass = hidden_pass(D, fake)
+    mean_f = ad.checked_mean(affine(fake_pass[0][-1], *D.layers[-1]))
+    real_pass = hidden_pass(D, ad.checked(x_batch, "leaf"))
+    mean_r = ad.checked_mean(affine(real_pass[0][-1], *D.layers[-1]))
     loss = ad.checked(mean_f + ad.checked(mean_r * -1.0, "mul"), "add")
 
     # gradient_penalty: the input gradient unrolled from the interpolates' slopes
     t = rng.uniform(size=(m, 1))
-    _, slopes = _hidden(D, ad.checked(t * x_batch + (1.0 - t) * fake, "leaf"))
+    _, slopes = hidden_pass(D, ad.checked(t * x_batch + (1.0 - t) * fake, "leaf"))
     wts = [w.data.T.copy() for w, _ in D.layers]
     deltas = [np.ones((m, 1))]  # each layer's unroll input, top layer first
     for i in range(len(D.layers) - 1, 0, -1):
@@ -250,11 +196,11 @@ def wgan_critic_step(D: Network, G: Network, x_batch: np.ndarray, z_batch: np.nd
     sq = ad.checked(grad * grad, "square")
     norms = ad.checked(np.sqrt(ad.checked(np.add.reduce(sq, 1), "sum")), "sqrt")
     dev = ad.checked(norms + -1.0, "add")
-    gp = _mean(ad.checked(dev * dev, "square"))
+    gp = ad.checked_mean(ad.checked(dev * dev, "square"))
     total = ad.checked(loss + ad.checked(gp * gp_lambda, "mul"), "add")
 
-    _backward(D, *fake_pass, np.divide(1.0, m, out=np.empty((m, 1))))
-    _backward(D, *real_pass, np.divide(-1.0, m, out=np.empty((m, 1))))
+    backward_pass(D, *fake_pass, np.divide(1.0, m, out=np.empty((m, 1))))
+    backward_pass(D, *real_pass, np.divide(-1.0, m, out=np.empty((m, 1))))
     g = np.divide(gp_lambda, m, out=np.empty(m)) * 2.0 * dev
     g = g * np.where(norms > 0, 0.5 / np.where(norms > 0, norms, 1.0), 0.0)
     g_sq = np.empty(sq.shape)
@@ -269,14 +215,13 @@ def wgan_critic_step(D: Network, G: Network, x_batch: np.ndarray, z_batch: np.nd
 
 def wgan_generator_step(D: Network, G: Network, z_batch: np.ndarray) -> float:
     """``wgan_generator_loss`` and its backward into G's leaves, top layer down; returns L_G."""
-    inputs, slopes, t, fake = _generate(G, z_batch)
-    critic_inputs, critic_slopes = _hidden(D, fake)
-    loss = ad.checked(_mean(_affine(critic_inputs[-1], *D.layers[-1])) * -1.0, "mul")
+    inputs, slopes, t, fake = generator_pass(G, ad.checked(z_batch, "leaf"))
+    critic_inputs, critic_slopes = hidden_pass(D, fake)
+    score = affine(critic_inputs[-1], *D.layers[-1])
+    loss = ad.checked(ad.checked_mean(score) * -1.0, "mul")
     g = np.divide(-1.0, len(z_batch), out=np.empty((len(z_batch), 1)))
-    g = _backward(D, critic_inputs, critic_slopes, g, train=False)
-    lo, hi = G.spec.output_range
-    g = g * (0.5 * (hi - lo)) * (1.0 - t * t)
-    _backward(G, inputs, slopes, g)
+    g = backward_pass(D, critic_inputs, critic_slopes, g, train=False)
+    generator_backward(G, inputs, slopes, t, g)
     return float(loss)
 
 

@@ -25,9 +25,9 @@ from .config import ConfigError, RunConfig
 from .data import Dataset, augment, batches, parse_idx, spawn, synth_blobs
 from .distill import BlindTeacher, DistillConfig, distill, objective, teacher_side
 from .gan import sample_noise, train_gan
-from .metrics import (FrechetStats, accuracy, cross_entropy, frechet_distance,
-                      record_logit_gradients)
-from .nets import Network, NetworkSpec, build_network
+from .metrics import (FrechetStats, accuracy, cross_entropy, cross_entropy_step,
+                      frechet_distance, record_logit_gradients)
+from .nets import PIECEWISE_LINEAR, Network, NetworkSpec, build_network
 from .optim import SGD, TrainingDiverged, multistep_lr
 
 log = logging.getLogger("mekd")
@@ -201,9 +201,10 @@ class _Run:
 
 
 def distill_config(cfg: RunConfig, method: str) -> DistillConfig:
-    """[distill] as a DistillConfig; kd is the same loop with alpha 0 at kd_tau."""
+    """[distill] as a DistillConfig; kd is the same loop on the KL alone, at
+    kd_tau with weight 1 (alpha 0, beta 1), whatever mekd's weights are."""
     if method == "kd":
-        return cfg.build("distill", alpha=0.0, tau=cfg.get("distill", "kd_tau"))
+        return cfg.build("distill", alpha=0.0, beta=1.0, tau=cfg.get("distill", "kd_tau"))
     if method != "mekd":
         raise ConfigError(f"unknown method {method!r}; expected mekd or kd")
     return cfg.build("distill")
@@ -212,9 +213,18 @@ def distill_config(cfg: RunConfig, method: str) -> DistillConfig:
 # -- stage: teacher ----------------------------------------------------------
 
 
+def teacher_takes_array_step(net: Network) -> bool:
+    """Whether train_teacher runs metrics.cross_entropy_step rather than the tape."""
+    return net.spec.activation in PIECEWISE_LINEAR
+
+
 def train_teacher(cfg: RunConfig, train: Dataset, test: Dataset) -> tuple[Network, list[dict]]:
+    """The supervised teacher and its epoch rows.  A ``relu`` or ``leaky_relu``
+    teacher steps through ``metrics.cross_entropy_step``; the tape step, which
+    other activations run, is its reference."""
     seed = cfg.get("run", "seed")
     net = build_role(cfg, "teacher", train.n, train.num_classes)
+    array_step = teacher_takes_array_step(net)
     opt = SGD(net.params, cfg.get("teacher", "lr"), momentum=cfg.get("teacher", "momentum"))
     labels = train.labels  # supervised pre-training is the teacher's privilege
     use_hflip = cfg.get("teacher", "hflip")
@@ -236,15 +246,19 @@ def train_teacher(cfg: RunConfig, train: Dataset, test: Dataset) -> tuple[Networ
                             crop_pad=crop_pad, rng=rng)
                     for row in xb])
             try:
-                loss = cross_entropy(net(xb), labels[idx])
                 opt.zero_grad()
-                loss.backward()
+                if array_step:
+                    loss = cross_entropy_step(net, xb, labels[idx])
+                else:
+                    tape_loss = cross_entropy(net(xb), labels[idx])
+                    tape_loss.backward()
+                    loss = tape_loss.item()
             except ad.NonFiniteError as e:
                 raise TrainingDiverged(
                     f"non-finite value in teacher training at epoch {epoch} step {step} "
                     f"(op {e.op!r})") from e
             opt.step()
-            total += loss.item()
+            total += loss
         rows.append({"epoch": epoch, "loss": total / len(idx_batches),
                      "train_acc": accuracy(net, train), "test_acc": accuracy(net, test),
                      "lr": lr})
@@ -421,11 +435,11 @@ def run_eval(cfg: RunConfig, out_dir: str) -> dict:
 def run_grad_profile(cfg: RunConfig, out_dir: str, samples: int = 8) -> list[list]:
     """Per-sample logit-gradient profiles for CE / KD / MEKD-L1 / MEKD-L2.
 
-    kd is the KL at kd_tau, weight 1; mekd is the configured mekd loss at
+    kd is distill_config's kd loss; mekd is the configured mekd loss at
     p_norm 1 and 2.  Each is distill.objective, with one softmax per term."""
     run = _Run(cfg, out_dir)
     blind = BlindTeacher.from_network(run.load("teacher", "teacher.ckpt"))
-    kd = DistillConfig(alpha=0.0, beta=1.0, tau=cfg.get("distill", "kd_tau"))
+    kd = distill_config(cfg, "kd")
     mekd = {p_norm: cfg.build("distill", p_norm=p_norm) for p_norm in (1, 2)}
     G = run.load("generator", "generator.ckpt") if mekd[1].alpha > 0 else None
     student = run.build("student")  # trainable: the profiles are its gradients

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .data import Dataset
-from .nets import Network
+from .nets import Network, backward_pass, classifier_pass
 
 _EVAL_CHUNK = 2048
 PROB_FLOOR = 1e-12  # probabilities are clipped here before any log
@@ -147,6 +147,25 @@ def cross_entropy(probs: Tensor, labels) -> Tensor:
     onehot[np.arange(len(onehot)), labels] = 1.0
     picked = (probs * ad.constant(onehot)).sum(axis=1)
     return -ad.log(ad.clip(picked, PROB_FLOOR, 1.0)).mean()
+
+
+def cross_entropy_step(net: Network, x: np.ndarray, labels) -> float:
+    """``cross_entropy(net(x), labels)`` and its backward into the leaves of a
+    ``relu`` or ``leaky_relu`` net, as arrays (the tape's bits); returns the loss."""
+    inputs, slopes, probs = classifier_pass(net, x)
+    m = len(probs)
+    onehot = np.zeros(probs.shape)
+    onehot[np.arange(m), labels] = 1.0
+    onehot = ad.checked(onehot, "leaf")
+    picked = ad.checked(np.add.reduce(ad.checked(probs * onehot, "mul"), 1), "sum")
+    mask = (picked >= PROB_FLOOR) & (picked <= 1.0)
+    clipped = ad.checked(np.clip(picked, PROB_FLOOR, 1.0), "clip")
+    loss = ad.checked(ad.checked_mean(ad.checked(np.log(clipped), "log")) * -1.0, "mul")
+    g = np.divide(np.ones_like(loss) * -1.0, m, out=np.empty(m)) / clipped * mask
+    g_picked = np.empty(probs.shape)
+    g_picked[...] = g.reshape((m, 1))
+    backward_pass(net, inputs, slopes, ad.softmax_grad(probs, g_picked * onehot))
+    return float(loss)
 
 
 def record_logit_gradients(student: Network, loss_fn, sample: np.ndarray,

@@ -6,6 +6,10 @@ Role contracts enforced at build time:
     its input width MUST equal the class count
   * discriminator maps R^n -> (0, 1) (terminal sigmoid); its pre-sigmoid
     score, ``logits``, is the critic value for wgan-gp
+
+The array steps (GAN, distillation, teacher) share one array layer walk of
+a ``relu`` or ``leaky_relu`` network, :func:`hidden_pass` and
+:func:`backward_pass`: the tape's expressions and checks, so its bits.
 """
 
 from __future__ import annotations
@@ -172,3 +176,72 @@ def build_network(spec: NetworkSpec, num_classes: int, seed) -> Network:
         params[f"layers.{i}.weight"] = Tensor(w, requires_grad=True)
         params[f"layers.{i}.bias"] = Tensor(b, requires_grad=True)
     return Network(spec, params)
+
+
+# -- the array layer walk --------------------------------------------------
+#
+# leaky_relu is always z * slope (bit-equal to its no-grad np.maximum form),
+# slopes come from z's sign (as from the activation's) and go unchecked (finite).
+
+
+def affine(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    z = x @ w.data
+    z += b.data
+    return ad.checked(z, "linear")
+
+
+def hidden_pass(net: Network, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each layer's input (x first, the head's last) and each hidden activation's slope."""
+    leaky = net.spec.activation == "leaky_relu"
+    inputs, slopes = [x], []
+    for w, b in net.layers[:-1]:
+        z = affine(inputs[-1], w, b)
+        if leaky:
+            slopes.append(np.where(z > 0, 1.0, LEAKY_SLOPE))
+            inputs.append(ad.checked(z * slopes[-1], "leaky_relu"))
+        else:
+            slopes.append((z > 0).astype(np.float64))
+            h = np.maximum(z, 0.0)
+            h += 0.0  # relu(-0.0) is +0.0
+            inputs.append(h)
+    return inputs, slopes
+
+
+def backward_pass(net: Network, inputs: list[np.ndarray], slopes: list[np.ndarray],
+                  g: np.ndarray, train: bool = True) -> np.ndarray | None:
+    """Backprop g from net's head output, top layer down: with ``train`` into
+    each layer's weight and then bias leaf, else to the input, returned."""
+    for i in range(len(net.layers) - 1, -1, -1):
+        w, b = net.layers[i]
+        if train:
+            w._accumulate(inputs[i].T @ g)
+            b._accumulate(g.sum(axis=0))
+            if i == 0:
+                return None
+        g = g @ w.data.T
+        if i:
+            g = g * slopes[i - 1]
+    return g
+
+
+def classifier_pass(net: Network, x: np.ndarray):
+    """net(x) for an array x, checked as the tape's leaf: (inputs, slopes, probabilities)."""
+    inputs, slopes = hidden_pass(net, ad.checked(x, "leaf"))
+    return inputs, slopes, ad.softmax_rows(affine(inputs[-1], *net.layers[-1]))
+
+
+def generator_pass(G: Network, y: np.ndarray):
+    """G(y) for a checked feed y: (inputs, slopes, tanh output, images)."""
+    inputs, slopes = hidden_pass(G, y)
+    t = np.tanh(affine(inputs[-1], *G.layers[-1]))
+    lo, hi = G.spec.output_range
+    images = ad.checked(t + 1.0, "add")
+    images = ad.checked(images * (0.5 * (hi - lo)), "mul")
+    return inputs, slopes, t, ad.checked(images + lo, "add")
+
+
+def generator_backward(G: Network, inputs, slopes, t: np.ndarray, g: np.ndarray,
+                       train: bool = True) -> np.ndarray | None:
+    """Backprop g from G's images: into its leaves with ``train``, else to the feed, returned."""
+    lo, hi = G.spec.output_range
+    return backward_pass(G, inputs, slopes, g * (0.5 * (hi - lo)) * (1.0 - t * t), train)

@@ -7,6 +7,8 @@ place, the simplest correct rule; every leaf gradient, and every recorded
 logit gradient, must match it bit for bit.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,14 +17,17 @@ from hypothesis.extra import numpy as hnp
 
 from mekd import autodiff as ad
 from mekd.autodiff import Tensor, no_grad
-from mekd.distill import BlindTeacher, DistillConfig, kl_teacher_terms, kld_loss, student_loss
+from mekd.distill import (GEN_INPUTS, BlindTeacher, DistillConfig, kl_teacher_terms, kld_loss,
+                          student_loss)
 from mekd import gan
 from mekd.data import synth_blobs
 from mekd.gan import (GanConfig, _fixed, train_gan, wgan_critic_step,
                       wgan_discriminator_loss, wgan_generator_loss, wgan_generator_step)
-from mekd.metrics import cross_entropy, record_logit_gradients
+from mekd.metrics import PROB_FLOOR, cross_entropy, cross_entropy_step, record_logit_gradients
 from mekd.nets import NetworkSpec, build_network
 from specs import discriminator_spec, generator_spec, student_spec
+
+distill_module = importlib.import_module("mekd.distill")  # the package exports distill()
 
 
 def _bits(a) -> np.ndarray:
@@ -157,6 +162,84 @@ def test_train_gan_array_step_matches_tape_step(monkeypatch):
     for got, want in ((array_G, tape_G), (array_D, D)):
         for name, p in want.params.items():
             assert np.array_equal(_bits(got.params[name].data), _bits(p.data)), name
+
+
+# -- the array distillation and teacher steps against the tape ---------------
+
+
+def _answers(rng, m, classes):
+    """Teacher rows: Dirichlet draws and near-one-hot rows, whose other entries
+    (about half of them below PROB_FLOOR) make the KL's clip masks fire."""
+    rows = rng.dirichlet(np.full(classes, 0.5), size=m)
+    for row, k in zip(rows, rng.integers(classes, size=m)):
+        if rng.random() < 0.5:
+            row[:] = rng.uniform(0.0, 2.0 * PROB_FLOOR, classes)
+            row[k] = 0.0
+            row[k] = 1.0 - row.sum()
+    return rows
+
+
+_WEIGHTS = st.sampled_from([(a, b) for a in (0.0, 0.5, 1.0) for b in (0.0, 1.0, 2.0) if a or b])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["relu", "leaky_relu"]), st.sampled_from(["relu", "leaky_relu"]),
+       _WIDTHS, _WIDTHS, st.integers(1, 9), st.integers(2, 4), st.integers(1, 6), _WEIGHTS,
+       st.sampled_from([1.0, 4.0]), st.sampled_from([1.0, 4.0]), st.sampled_from([1, 2]),
+       st.sampled_from(GEN_INPUTS), st.sampled_from([1.0, 100.0]), st.integers(0, 2**32 - 1))
+def test_array_distill_step_matches_tape_bit_for_bit(s_act, g_act, s_hidden, g_hidden, m,
+                                                     classes, n, weights, tau, gen_tau,
+                                                     p_norm, gen_input, x_scale, seed):
+    # x_scale 100 saturates the student's softmax, so its clip masks fire too
+    rng = np.random.default_rng(seed)
+    student = build_network(NetworkSpec("classifier", n, s_hidden, classes, activation=s_act),
+                            classes, seed=rng.integers(2**32))
+    G = build_network(NetworkSpec("generator", classes, g_hidden, n, activation=g_act,
+                                  output_range=(-0.3, 1.2)), classes,
+                      seed=rng.integers(2**32)).freeze()
+    alpha, beta = weights
+    cfg = DistillConfig(p_norm=p_norm, alpha=alpha, beta=beta, tau=tau, gen_tau=gen_tau,
+                        gen_input=gen_input)
+    p_t = _answers(rng, m, classes)
+    teacher = BlindTeacher(lambda rows: p_t[:len(rows)], classes, cache=False)
+    x = rng.uniform(size=(m, n)) * x_scale
+    assert distill_module.takes_array_step(cfg, student, G)
+
+    def run(array):
+        for p in student.params.values():
+            p.grad = None
+        if array:
+            total, parts = distill_module.student_step(student, teacher, G, x, cfg)
+        else:
+            loss, parts = student_loss(student, teacher, G, x, cfg)
+            loss.backward()
+            total = loss.item()
+        return _bits([total, parts["distance"], parts["kld"]]).tolist(), _grads(student)
+
+    assert run(True) == run(False)
+    assert all(p.grad is None for p in G.params.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["relu", "leaky_relu"]), _WIDTHS, st.integers(1, 9), st.integers(2, 4),
+       st.integers(1, 6), st.sampled_from([1.0, 100.0]), st.integers(0, 2**32 - 1))
+def test_array_teacher_step_matches_tape_bit_for_bit(act, hidden, m, classes, n, x_scale, seed):
+    # x_scale 100 saturates the softmax, so the picked probabilities hit the floor
+    rng = np.random.default_rng(seed)
+    net = build_network(NetworkSpec("classifier", n, hidden, classes, activation=act),
+                        classes, seed=rng.integers(2**32))
+    x, labels = rng.uniform(size=(m, n)) * x_scale, rng.integers(classes, size=m)
+
+    def run(array):
+        for p in net.params.values():
+            p.grad = None
+        if array:
+            return _bits(cross_entropy_step(net, x, labels)).tolist(), _grads(net)
+        loss = cross_entropy(net(x), labels)
+        loss.backward()
+        return _bits(loss.item()).tolist(), _grads(net)
+
+    assert run(True) == run(False)
 
 
 @pytest.mark.parametrize("cfg", [DistillConfig(p_norm=1), DistillConfig(p_norm=2),

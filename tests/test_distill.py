@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import sys
 
 import numpy as np
@@ -19,9 +20,11 @@ from mekd.distill import (
     student_loss,
     teacher_side,
 )
-from mekd.nets import build_network
+from mekd.nets import NetworkSpec, build_network
 from mekd.optim import SGD, TrainingDiverged
 from specs import generator_spec, student_spec, teacher_spec
+
+distill_module = importlib.import_module("mekd.distill")  # the package exports distill()
 
 
 def _softmax_np(z):
@@ -555,11 +558,74 @@ def test_distill_rejects_unfrozen_generator():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_distill_divergence_names_epoch_step_and_op():
+def test_distill_divergence_names_epoch_step_and_op(monkeypatch):
     ds, teacher, student, G, cfg = _train_setup()
     with pytest.raises(TrainingDiverged,
                        match=r"while distilling at epoch \d+ step \d+ \(op '\w+'\)"):
         distill(student, teacher, G, ds, dataclasses.replace(cfg, lr=1e200), seed=0)
+    # the array step diverges where the tape step does, naming the same op
+    assert distill_module.takes_array_step(cfg, student, G)
+    messages = []
+    for array_step in (True, False):
+        ds, teacher, student, G, cfg = _train_setup()
+        monkeypatch.setattr(distill_module, "takes_array_step",
+                            lambda *args, take=array_step: take)
+        with pytest.raises(TrainingDiverged) as info:
+            distill(student, teacher, G, ds, dataclasses.replace(cfg, lr=1e200), seed=0)
+        messages.append((info.value.__cause__.op, str(info.value)))
+    assert messages[0] == messages[1]
+
+
+def _classifier(activation, n=4, num_classes=3, seed=1):
+    return build_network(NetworkSpec("classifier", n, (8,), num_classes, activation=activation),
+                         num_classes, seed=seed)
+
+
+def _generator(activation, num_classes=3, n=4, seed=2):
+    return build_network(NetworkSpec("generator", num_classes, (8,), n, activation=activation),
+                         num_classes, seed=seed).freeze()
+
+
+@pytest.mark.parametrize("s_act, generator, alpha, want", [
+    ("relu", "relu", 1.0, True),
+    ("leaky_relu", "leaky_relu", 1.0, True),
+    ("relu", "leaky_relu", 0.5, True),
+    ("relu", "tanh", 1.0, False),
+    ("relu", "callable", 1.0, False),
+    ("tanh", "relu", 1.0, False),
+    ("sigmoid", None, 0.0, False),
+    ("relu", None, 0.0, True),
+    ("leaky_relu", "tanh", 0.0, True),  # alpha 0 never calls G
+])
+def test_array_step_selection(s_act, generator, alpha, want):
+    G = generator
+    if generator == "callable":
+        G = _generator("relu").__call__
+    elif generator is not None:
+        G = _generator(generator)
+    cfg = DistillConfig(alpha=alpha)
+    assert distill_module.takes_array_step(cfg, _classifier(s_act), G) is want
+
+
+def test_distill_smooth_student_runs_the_tape_step(monkeypatch):
+    ds, teacher, _, G, cfg = _train_setup()
+    student = _classifier("tanh")
+    assert not distill_module.takes_array_step(cfg, student, G)
+
+    def no_array_step(*args):
+        raise AssertionError("array step taken")
+    monkeypatch.setattr(distill_module, "student_step", no_array_step)
+    before = student.state_dict()
+    _, log = distill(student, teacher, G, ds, dataclasses.replace(cfg, epochs=1), seed=0)
+    assert len(log) == 1 and np.isfinite(log[0]["L_total"]) and log[0]["L_distance"] > 0
+    assert any(not np.array_equal(before[k], p.data) for k, p in student.params.items())
+
+
+def test_distill_rejects_student_input_width_mismatch():
+    ds, teacher, _, G, cfg = _train_setup()
+    wide = build_network(student_spec(5, 3), 3, seed=6)
+    with pytest.raises(ValueError, match="student input width 5 != sample width 4"):
+        distill(wide, teacher, G, ds, cfg, seed=0)
 
 
 def test_distill_rejects_missing_generator():

@@ -300,11 +300,57 @@ def test_run_train_teacher_trained_does_not_warn(tiny_cfg, tmp_path, caplog):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_train_teacher_divergence_reports_epoch_and_step(tiny_cfg):
+def test_train_teacher_divergence_reports_epoch_and_step(tiny_cfg, monkeypatch):
     cfg = tiny_cfg.replace("teacher", "lr", 1e200)
     train, test = harness.load_dataset(cfg)
     with pytest.raises(TrainingDiverged, match=r"teacher training at epoch \d+ step \d+"):
         harness.train_teacher(cfg, train, test)
+    # the array step diverges where the tape step does, naming the same op
+    messages = []
+    for array_step in (True, False):
+        monkeypatch.setattr(harness, "teacher_takes_array_step",
+                            lambda net, take=array_step: take)
+        with pytest.raises(TrainingDiverged) as info:
+            harness.train_teacher(cfg, train, test)
+        messages.append((info.value.__cause__.op, str(info.value)))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("activation, want", [
+    ("relu", True), ("leaky_relu", True), ("tanh", False), ("sigmoid", False)])
+def test_teacher_array_step_selection(tiny_cfg, activation, want):
+    net = harness.build_role(tiny_cfg.replace("teacher", "activation", activation),
+                             "teacher", 16, 3)
+    assert harness.teacher_takes_array_step(net) is want
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def test_train_teacher_array_step_matches_tape_step(tiny_cfg, monkeypatch):
+    # augmentation on: the array step sees the flipped and cropped batches
+    cfg = tiny_cfg.replace("teacher", "hflip", True).replace("teacher", "crop_pad", 1)
+    train, test = harness.load_dataset(cfg)
+    array_net, array_rows = harness.train_teacher(cfg, train, test)
+    assert harness.teacher_takes_array_step(array_net)
+    monkeypatch.setattr(harness, "teacher_takes_array_step", lambda net: False)
+    tape_net, tape_rows = harness.train_teacher(cfg, train, test)
+    assert array_rows == tape_rows and len(tape_rows) == 8
+    for name, p in tape_net.params.items():
+        assert np.array_equal(_bits(array_net.params[name].data), _bits(p.data)), name
+
+
+def test_train_teacher_smooth_teacher_runs_the_tape_step(tiny_cfg, monkeypatch):
+    cfg = tiny_cfg.replace("teacher", "activation", "tanh").replace("teacher", "epochs", 2)
+
+    def no_array_step(*args):
+        raise AssertionError("array step taken")
+    monkeypatch.setattr(harness, "cross_entropy_step", no_array_step)
+    train, test = harness.load_dataset(cfg)
+    _, rows = harness.train_teacher(cfg, train, test)
+    assert len(rows) == 2 and all(np.isfinite(row["loss"]) for row in rows)
+    assert rows[1]["loss"] < rows[0]["loss"]
 
 
 def test_run_train_teacher_deterministic(tiny_cfg, tmp_path):
@@ -446,6 +492,44 @@ def test_run_distill_appends_rows(tiny_cfg, tmp_path):
     lines = open(os.path.join(out, "results.csv")).read().splitlines()
     assert len(lines) == 3
     assert [ln.split(",")[0] for ln in lines[1:]] == ["mekd", "kd"]
+
+
+def test_run_distill_array_step_matches_tape_step(tiny_cfg, tmp_path, monkeypatch):
+    # m = 25 leaves a short last batch of 20 of the 120 rows
+    base = tiny_cfg.replace("distill", "m", 25)
+    out = str(tmp_path / "run")
+    harness.run_train_teacher(base, out)
+    harness.run_train_gan(base, out)
+    distill_module = sys.modules["mekd.distill"]  # the package exports distill()
+    assert distill_module.takes_array_step(harness.distill_config(base, "mekd"),
+                                           harness.build_role(base, "student", 16, 3),
+                                           harness.build_role(base, "generator", 16, 3))
+    for cache in (True, False):
+        cfg = base.replace("distill", "cache_teacher", cache)
+        for method in ("mekd", "kd"):
+            outputs = []
+            for array_step in (True, False):
+                monkeypatch.setattr(distill_module, "takes_array_step",
+                                    lambda *args, take=array_step: take)
+                harness.run_distill(cfg, out, method)
+                outputs.append([open(os.path.join(out, name), "rb").read()
+                                for name in (f"student_{method}.ckpt",
+                                             f"distill_{method}_log.csv")])
+            assert outputs[0] == outputs[1], (cache, method)
+
+
+def test_run_distill_kd_is_the_same_under_any_beta(tiny_cfg, tmp_path):
+    # kd is the KL at kd_tau with weight 1: a distance-only config (beta 0)
+    # still runs it, and [distill] beta changes none of its bytes
+    out = str(tmp_path / "run")
+    harness.run_train_teacher(tiny_cfg, out)
+    students = []
+    for beta in (1.0, 0.0, 2.0):
+        harness.run_distill(tiny_cfg.replace("distill", "beta", beta), out, "kd")
+        students.append(open(os.path.join(out, "student_kd.ckpt"), "rb").read())
+    assert students[0] == students[1] == students[2]
+    rows = open(os.path.join(out, "results.csv")).read().splitlines()[1:]
+    assert [row.split(",")[6] for row in rows] == ["1.0"] * 3  # the beta column
 
 
 def test_run_eval_reads_checkpoints_back(tiny_cfg, tmp_path):
@@ -614,8 +698,7 @@ def test_run_grad_profile_writes_every_evaluator_when_beta_is_zero(tiny_cfg, tmp
     out = str(tmp_path / "run")
     _run_pipeline(tiny_cfg, out)
     cfg = tiny_cfg.replace("distill", "beta", 0.0)
-    with pytest.raises(ValueError, match="at least one"):
-        harness.distill_config(cfg, "kd")
+    assert harness.distill_config(cfg, "kd") == harness.distill_config(tiny_cfg, "kd")
     rows = harness.run_grad_profile(cfg, out, samples=2)
     assert [row[0] for row in rows] == ["ce", "kd", "mekd-l1", "mekd-l2"] * 2
     got, default = _profiles(rows), _profiles(harness.run_grad_profile(tiny_cfg, out, samples=2))
