@@ -133,7 +133,9 @@ class RunConfig:
                     raise ConfigError(f"unknown config key {key!r} in section [{section}]")
                 values[section][key] = _parse_value(raw, SCHEMA[section][key],
                                                     f"[{section}] {key}")
-        return cls(values)
+        cfg = cls(values)
+        cfg.validate()
+        return cfg
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -161,6 +163,14 @@ class RunConfig:
         cls = SECTION_TYPES[section]
         values = {f.name: self._values[section][f.name.lower()] for f in fields(cls)}
         return cls(**{**values, **overrides})
+
+    def validate(self) -> None:
+        """Build each dataclass section, so its value checks run when the config is loaded."""
+        for section in SECTION_TYPES:
+            try:
+                self.build(section)
+            except ValueError as e:
+                raise ConfigError(f"[{section}] {e}") from None
 
     def serialize(self) -> str:
         out = io.StringIO()

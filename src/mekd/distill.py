@@ -22,19 +22,8 @@ step, which smooth activations and callable generators run, is its reference.
 Each loss takes the teacher's half already computed, as arrays, and the
 student's as a tensor: ``kld_loss(kl_teacher_terms(p_t, tau), p_s, tau)`` and
 ``generation_distance(G, y_s, image_t, p_norm)`` with image_t = G(y_T).
-
-The teacher and the generator are frozen, so the teacher's half of the
-loss (:class:`TeacherSide`: G's image of the answer's feed, and the KL's
-re-softened, clamped teacher probabilities with their log) is a function
-of the answer row alone.  :func:`distill` keeps one
-:class:`TeacherSideTable` per call, keyed by the exact bytes of each
-answer row, and serves a full batch whose answers are all stored with one
-gather instead of recomputing them.  A stored row was computed in a full
-batch of the same shape as the batch it serves, and every step of
-:func:`teacher_side` computes a row's values independently of its position
-and of the other rows at a fixed batch shape (elementwise ops, row-wise
-reductions, and BLAS products, which tests/test_distill.py checks), so a
-gathered row equals the recomputed one bit for bit.
+:func:`teacher_side` computes that half on each batch, for training and for
+the gradient profiles alike.
 """
 
 from __future__ import annotations
@@ -50,16 +39,10 @@ from .data import Dataset, batches, spawn
 from .metrics import PROB_FLOOR, accuracy
 from .nets import (PIECEWISE_LINEAR, Network, backward_pass, classifier_pass,
                    generator_backward, generator_pass)
-from .optim import SGD, TrainingDiverged, multistep_lr
+from .optim import SGD, TrainingDiverged, check_schedule, multistep_lr
 
 GEN_INPUTS = ("probs", "logits")
 KEY_DISTILL_EPOCH = 31  # spawn key (31, epoch) of each epoch's shuffle
-
-
-def _row_keys(rows: np.ndarray) -> list[bytes]:
-    """Each row's exact bytes (so -0.0 and +0.0 give two keys)."""
-    row_bytes = np.dtype((np.void, rows.itemsize * rows.shape[1]))
-    return np.ascontiguousarray(rows).view(row_bytes).ravel().tolist()
 
 
 class TeacherAnswerError(ValueError):
@@ -124,7 +107,8 @@ class BlindTeacher:
             return np.empty((0, self.num_classes))
         if self._cache is None:
             return self._ask(rows)
-        keys = _row_keys(rows)
+        row_bytes = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+        keys = np.ascontiguousarray(rows).view(row_bytes).ravel().tolist()
         found = list(map(self._cache.get, keys))
         misses: dict[bytes, int] = {}  # each missing row's first index, in order
         if None in found:
@@ -173,12 +157,13 @@ class DistillConfig:
             raise ValueError("loss weights must be non-negative")
         if self.alpha + self.beta <= 0:
             raise ValueError("at least one of alpha, beta must be positive")
-        if self.tau <= 0 or self.gen_tau <= 0:
+        if self.tau <= 0 or self.kd_tau <= 0 or self.gen_tau <= 0:
             raise ValueError("temperatures must be positive")
         if self.gen_input not in GEN_INPUTS:
             raise ValueError(f"gen_input must be one of {GEN_INPUTS}")
         if self.m < 1 or self.epochs < 0:
             raise ValueError("m must be >= 1 and epochs >= 0")
+        check_schedule(self.milestones, self.gamma)
 
 
 # -- losses ---------------------------------------------------------------
@@ -272,63 +257,6 @@ def teacher_side(generator, p_t: np.ndarray, cfg: DistillConfig) -> TeacherSide:
     return TeacherSide(image, p, log_p)
 
 
-class TeacherSideTable:
-    """:func:`teacher_side` of each distinct answer row seen in a full batch.
-
-    Keyed by the answer row's exact bytes, so the key is the answer, not
-    the query: the table is right with the teacher cache off too.  Only
-    full m-row batches read or fill it.  A full batch whose answers are all
-    stored is served by one gather; any other full batch is computed on
-    the whole batch, and its first-seen answers are stored.  A short batch
-    is computed and neither reads nor fills the table, since a row's bits
-    are the same only between batches of one shape.  ``arrays`` holds the
-    stored parts, allocated once at the first store with ``capacity`` rows
-    (None before it); once they are full, new answers are computed but not
-    stored.
-    """
-
-    def __init__(self, generator, cfg: DistillConfig, m: int, capacity: int):
-        self._generator = generator
-        self._cfg = cfg
-        self._m = m
-        self._capacity = capacity
-        self._rows: dict[bytes, int] = {}  # answer row bytes -> table row
-        self.arrays: TeacherSide | None = None
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def side(self, p_t: np.ndarray) -> TeacherSide:
-        if len(p_t) != self._m:
-            return teacher_side(self._generator, p_t, self._cfg)
-        keys = _row_keys(p_t)
-        found = list(map(self._rows.get, keys))
-        if None not in found:
-            return TeacherSide(*(None if a is None else a.take(found, axis=0)
-                                 for a in self.arrays))
-        side = teacher_side(self._generator, p_t, self._cfg)
-        self._store(keys, found, side)
-        return side
-
-    def _store(self, keys: list[bytes], found: list, side: TeacherSide) -> None:
-        """Store the rows of side whose answers are new, first-seen first, while room lasts."""
-        if self.arrays is None:
-            self.arrays = TeacherSide(*(None if a is None else
-                                         np.empty((self._capacity,) + a.shape[1:], a.dtype)
-                                         for a in side))
-        new: dict[bytes, int] = {}  # each new answer's first index, in order
-        for i, (key, j) in enumerate(zip(keys, found)):
-            if j is None:
-                new.setdefault(key, i)
-        start = len(self._rows)
-        picks = list(new.values())[:self._capacity - start]
-        end = start + len(picks)
-        for table, a in zip(self.arrays, side):
-            if table is not None:
-                table[start:end] = a[picks]
-        self._rows.update(zip(new, range(start, end)))
-
-
 def objective(generator, side: TeacherSide, feed_s: Tensor, probs_s: Tensor,
               cfg: DistillConfig) -> tuple[Tensor, dict]:
     """alpha * distance + beta * kld against the teacher's half side, plus
@@ -353,15 +281,10 @@ def objective(generator, side: TeacherSide, feed_s: Tensor, probs_s: Tensor,
 
 
 def student_loss(student: Network, teacher: BlindTeacher, generator,
-                 x_batch: np.ndarray, cfg: DistillConfig,
-                 sides: TeacherSideTable | None = None) -> tuple[Tensor, dict]:
-    """:func:`objective` of the student's probabilities on x_batch.
+                 x_batch: np.ndarray, cfg: DistillConfig) -> tuple[Tensor, dict]:
+    """:func:`objective` of the student's probabilities on x_batch, against
+    the teacher's half computed on the batch by :func:`teacher_side`.
 
-    The teacher's half of the loss (G's image of the answers' feed, and the
-    KL's teacher terms) comes from sides, a table built for this generator
-    and cfg, when one is given; otherwise it is computed on the batch by
-    :func:`teacher_side`.  Both give the same bits (see the module
-    docstring), so the loss and its gradients do not depend on the table.
     A missing generator with alpha > 0 raises before the teacher is asked.
     """
     if cfg.alpha > 0 and generator is None:
@@ -369,8 +292,7 @@ def student_loss(student: Network, teacher: BlindTeacher, generator,
     x_batch = np.asarray(x_batch, dtype=np.float64)
     p_t = teacher.classify(x_batch)
     probs_s = student(x_batch)
-    side = sides.side(p_t) if sides is not None else teacher_side(generator, p_t, cfg)
-    return objective(generator, side, probs_s, probs_s, cfg)
+    return objective(generator, teacher_side(generator, p_t, cfg), probs_s, probs_s, cfg)
 
 
 # -- the array step ---------------------------------------------------------
@@ -454,15 +376,14 @@ def _kld(side: TeacherSide, probs: np.ndarray, tau: float):
 
 
 def student_step(student: Network, teacher: BlindTeacher, generator: Network | None,
-                 x_batch: np.ndarray, cfg: DistillConfig,
-                 sides: TeacherSideTable | None = None) -> tuple[float, dict]:
+                 x_batch: np.ndarray, cfg: DistillConfig) -> tuple[float, dict]:
     """:func:`student_loss` and its backward into the student's leaves, for
     networks that pass :func:`takes_array_step`; returns the loss and its parts
     as floats.  The distance's and the KL's gradients meet in one (commuting) sum."""
     x_batch = np.asarray(x_batch, dtype=np.float64)
     p_t = teacher.classify(x_batch)
     inputs, slopes, probs = classifier_pass(student, x_batch)
-    side = sides.side(p_t) if sides is not None else teacher_side(generator, p_t, cfg)
+    side = teacher_side(generator, p_t, cfg)
     parts = {"distance": 0.0, "kld": 0.0}
     terms = []
     if cfg.alpha > 0:
@@ -490,8 +411,8 @@ def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
     """Train the student on student_loss; labels are never touched here.
 
     eval_train/eval_test are optional: accuracy is evaluated (and labels
-    read) only when they are provided.  The teacher's half of the loss is
-    served from one TeacherSideTable of at most len(ds) rows.
+    read) only when they are provided.  Each step computes the teacher's
+    half of the loss on its batch (:func:`teacher_side`).
     """
     if student.spec.role != "classifier":
         raise ValueError(f"student must be a classifier, got role {student.spec.role!r}")
@@ -505,7 +426,6 @@ def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
         raise ValueError("generator must be frozen before distillation")
 
     m = min(cfg.m, len(ds))
-    sides = TeacherSideTable(generator, cfg, m, capacity=len(ds))
     array_step = takes_array_step(cfg, student, generator)
     opt = SGD(student.params, cfg.lr, momentum=cfg.momentum)
     log: list[dict] = []
@@ -518,7 +438,7 @@ def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
         for step, idx in enumerate(idx_batches):
             opt.zero_grad()
             try:
-                args = (student, teacher, generator, ds.samples[idx], cfg, sides)
+                args = (student, teacher, generator, ds.samples[idx], cfg)
                 if array_step:
                     total, parts = student_step(*args)
                 else:

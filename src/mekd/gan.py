@@ -28,7 +28,7 @@ from .autodiff import Tensor, no_grad
 from .data import Dataset, batches, spawn
 from .nets import (HIDDEN_DERIVATIVE, PIECEWISE_LINEAR, Network, affine, backward_pass,
                    generator_backward, generator_pass, hidden_pass)
-from .optim import SGD, TrainingDiverged, multistep_lr
+from .optim import SGD, TrainingDiverged, check_schedule, multistep_lr
 
 EPS = 1e-7
 KEY_GAN_EPOCH = 21  # spawn keys (21, epoch, stream) of each epoch's generators
@@ -71,6 +71,7 @@ class GanConfig:
             raise ValueError("gp_lambda must be >= 0")
         if self.clip_norm < 0:
             raise ValueError("clip_norm must be >= 0 (0 disables clipping)")
+        check_schedule(self.milestones, self.gamma)
 
 
 def sample_noise(prior: str, m: int, dim: int, rng: np.random.Generator) -> np.ndarray:

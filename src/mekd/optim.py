@@ -54,11 +54,16 @@ class SGD:
             p.data -= (self.lr * v).astype(p.data.dtype, copy=False)
 
 
-def multistep_lr(epoch: int, base_lr: float, milestones: Sequence[int], gamma: float) -> float:
-    """base_lr decayed by gamma once per milestone that epoch has reached."""
+def check_schedule(milestones: Sequence[int], gamma: float) -> None:
+    """Raise ValueError unless milestones strictly increase and gamma is in (0, 1]."""
     if any(b >= a for a, b in zip(milestones[1:], milestones)):
         raise ValueError(f"milestones must be strictly increasing: {list(milestones)}")
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
+
+
+def multistep_lr(epoch: int, base_lr: float, milestones: Sequence[int], gamma: float) -> float:
+    """base_lr decayed by gamma once per milestone that epoch has reached."""
+    check_schedule(milestones, gamma)
     passed = sum(1 for m in milestones if m <= epoch)
     return base_lr * gamma**passed

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mekd.config import SCHEMA, ConfigError, RunConfig
-from mekd.distill import DistillConfig
-from mekd.gan import GanConfig
+from mekd.config import SCHEMA, SECTION_TYPES, ConfigError, RunConfig
+from mekd.distill import GEN_INPUTS, DistillConfig
+from mekd.gan import GENERATOR_LOSS_MODES, PRIOR_KINDS, VARIANTS, GanConfig
 
 
 def test_defaults_cover_every_key():
@@ -68,6 +68,22 @@ def test_non_finite_float_rejected(section, key, raw):
     # nan fails every comparison, so it would switch clipping or a loss term off
     with pytest.raises(ConfigError, match="not a finite number"):
         RunConfig.from_ini(f"[{section}]\n{key} = {raw}\n")
+
+
+@pytest.mark.parametrize("section, lines, message", [
+    ("distill", "alpha = 0\nbeta = 0", "at least one of alpha, beta"),
+    ("distill", "p_norm = 3", "p_norm must be 1 or 2"),
+    ("distill", "kd_tau = 0", "temperatures must be positive"),
+    ("distill", "milestones = 5,3", "milestones must be strictly increasing"),
+    ("distill", "gamma = 1.5", "gamma must be in"),
+    ("gan", "variant = foo", "unknown GAN variant"),
+    ("gan", "m = 0", "m and k must be >= 1"),
+    ("gan", "milestones = 5,3", "milestones must be strictly increasing"),
+])
+def test_invalid_section_values_rejected_at_load(section, lines, message):
+    # each value used to load and fail only in the stage that built the section
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] {message}"):
+        RunConfig.from_ini(f"[{section}]\n{lines}\n")
 
 
 def test_malformed_ini_rejected():
@@ -203,13 +219,38 @@ def _value_like(default):
     return _TEXT
 
 
+# [gan] and [distill] are checked at load, so their keys draw values that
+# GanConfig and DistillConfig accept: these, or a positive number of the type
+_ACCEPTED = {
+    "p_norm": st.sampled_from([1, 2]),
+    "variant": st.sampled_from(VARIANTS),
+    "generator_loss_mode": st.sampled_from(GENERATOR_LOSS_MODES),
+    "prior": st.sampled_from(PRIOR_KINDS),
+    "gen_input": st.sampled_from(GEN_INPUTS),
+    "milestones": st.sets(st.integers(0, 10**4), max_size=4).map(sorted).map(tuple),
+    "gamma": st.floats(0.0, 1.0, exclude_min=True),
+}
+
+
+def _accepted_like(key, default):
+    if key in _ACCEPTED:
+        return _ACCEPTED[key]
+    if isinstance(default, int) and not isinstance(default, bool):
+        return st.integers(1, 10**6)
+    if isinstance(default, float):
+        return st.floats(0.0, exclude_min=True, allow_infinity=False)
+    return _value_like(default)
+
+
 @st.composite
 def _configs(draw):
     cfg = RunConfig.defaults()
     for section, keys in SCHEMA.items():
         for key, default in keys.items():
             if draw(st.booleans()):
-                cfg = cfg.replace(section, key, draw(_value_like(default)))
+                values = (_accepted_like(key, default) if section in SECTION_TYPES
+                          else _value_like(default))
+                cfg = cfg.replace(section, key, draw(values))
     return cfg
 
 

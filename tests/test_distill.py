@@ -1,27 +1,24 @@
 import dataclasses
 import importlib
-import sys
 
 import numpy as np
 import pytest
 
 from mekd import checkpoint
-from mekd.data import batches, synth_blobs
+from mekd.data import synth_blobs
 from mekd.autodiff import Tensor
 from mekd.distill import (
     BlindTeacher,
     DistillConfig,
     TeacherAnswerError,
-    TeacherSideTable,
     distill,
     generation_distance,
     kl_teacher_terms,
     kld_loss,
     student_loss,
-    teacher_side,
 )
 from mekd.nets import NetworkSpec, build_network
-from mekd.optim import SGD, TrainingDiverged
+from mekd.optim import TrainingDiverged
 from specs import generator_spec, student_spec, teacher_spec
 
 distill_module = importlib.import_module("mekd.distill")  # the package exports distill()
@@ -690,135 +687,3 @@ def test_distill_accepts_pure_function_teacher():
     teacher = BlindTeacher(classify_fn, 3, cache=False)
     distill(student, teacher, G, ds, cfg, seed=0)
     assert calls["n"] == teacher.query_count > 0
-
-
-# -- the teacher-side table -------------------------------------------------
-
-
-def _counting(G):
-    """G, and a counter of its calls on constant (teacher-side) feeds."""
-    calls = {"teacher": 0}
-
-    def generator(y):
-        calls["teacher"] += not y.requires_grad
-        return G(y)
-
-    return generator, calls
-
-
-def _bits(a) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
-
-
-def test_side_table_computes_each_full_batch_once_then_gathers():
-    ds, teacher, student, G, cfg = _train_setup()
-    assert len(ds) % cfg.m == 0
-    generator, calls = _counting(G)
-    per_epoch = []
-
-    def count_epoch(epoch, net, row):
-        per_epoch.append(calls["teacher"])
-        calls["teacher"] = 0
-
-    distill(student, teacher, generator, ds, cfg, seed=0, epoch_callback=count_epoch)
-    assert per_epoch == [len(ds) // cfg.m, 0, 0]
-
-
-_TABLE_CONFIGS = {
-    "mekd-l1": DistillConfig(p_norm=1),
-    "mekd-l2": DistillConfig(p_norm=2),
-    "logits-l1": DistillConfig(p_norm=1, gen_input="logits"),
-    "logits-l2-gen-tau-3": DistillConfig(p_norm=2, gen_input="logits", gen_tau=3.0),
-    "probs-gen-tau-3": DistillConfig(gen_tau=3.0, tau=2.0),
-    "kd-tau-4": DistillConfig(alpha=0.0, tau=4.0),
-}
-
-
-@pytest.mark.parametrize("width", [64, 784])
-@pytest.mark.parametrize("name", list(_TABLE_CONFIGS))
-def test_side_table_keeps_loss_and_gradient_bits(name, width):
-    # two students in lockstep over 3 epochs of reshuffled full batches, one
-    # computing the teacher side on every batch and one served by the table
-    cfg = _TABLE_CONFIGS[name]
-    num_classes, n, m = 3, 6, 16
-    ds = synth_blobs(num_classes, n, per_class=16, spread=0.1, seed=4)
-    teacher = _function_teacher(n, num_classes, seed=4)
-    generator, calls = _counting(_frozen_generator(num_classes, width, seed=5))
-    table = TeacherSideTable(generator, cfg, m, capacity=len(ds))
-    students = [build_network(student_spec(n, num_classes), num_classes, seed=6)
-                for _ in range(2)]
-    opts = [SGD(s.params, 0.1, momentum=0.9) for s in students]
-    for epoch in range(3):
-        for idx in batches(ds, m, seed=epoch, shuffle=True):
-            got = []
-            for student, opt, sides in zip(students, opts, (None, table)):
-                opt.zero_grad()
-                loss, parts = student_loss(student, teacher, generator, ds.samples[idx], cfg, sides)
-                loss.backward()
-                opt.step()
-                got.append([loss.data, *(p.grad for p in student.params.values())])
-            for plain, served in zip(*got):
-                assert np.array_equal(_bits(plain), _bits(served))
-        if epoch == 0:
-            assert len(table) == len(ds)
-            calls["teacher"] = 0
-    # epochs 1 and 2 computed the teacher side only for the untabled student
-    assert calls["teacher"] == (2 * len(ds) // m if cfg.alpha > 0 else 0)
-
-
-def test_side_table_short_batch_neither_reads_nor_fills():
-    G = _frozen_generator()
-    generator, calls = _counting(G)
-    cfg = DistillConfig()
-    table = TeacherSideTable(generator, cfg, m=4, capacity=10)
-    p = np.random.default_rng(3).dirichlet(np.ones(3), size=6)
-    table.side(p[:4])
-    assert (len(table), calls["teacher"]) == (4, 1)
-    short = table.side(p[:3])  # every answer stored, but the batch is short
-    assert (len(table), calls["teacher"]) == (4, 2)
-    for got, want in zip(short, teacher_side(G, p[:3], cfg)):
-        assert np.array_equal(_bits(got), _bits(want))
-    table.side(p[3:])  # short, with new answers
-    assert (len(table), calls["teacher"]) == (4, 3)
-    table.side(p[[3, 2, 1, 0]])  # full, all stored: one gather
-    assert (len(table), calls["teacher"]) == (4, 3)
-
-
-def test_side_table_holds_at_most_capacity_rows(monkeypatch):
-    # a teacher that answers differently on every call: each batch is new
-    ds, _, student, G, cfg = _train_setup(seed=2)
-    rng = np.random.default_rng(0)
-    teacher = BlindTeacher(lambda x: rng.dirichlet(np.ones(3), size=len(x)), 3, cache=False)
-    tables = []
-
-    class Recorded(TeacherSideTable):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            tables.append(self)
-
-    # mekd.distill the module, not the function the package exports under its name
-    monkeypatch.setattr(sys.modules["mekd.distill"], "TeacherSideTable", Recorded)
-    distill(student, teacher, G, ds, cfg, seed=0)
-    (table,) = tables
-    assert teacher.query_count == cfg.epochs * len(ds)
-    assert len(table) == len(ds)
-    assert all(len(a) == len(ds) for a in table.arrays)
-
-    table = TeacherSideTable(G, cfg, m=4, capacity=5)
-    p = rng.dirichlet(np.ones(3), size=8)
-    table.side(np.concatenate([p[:2], p[:2]]))  # two answers, each twice
-    table.side(p[2:6])
-    assert len(table) == 5  # p[0], p[1], then p[2:5] until the table is full
-    table.side(p[4:8])
-    assert len(table) == 5
-
-
-def test_side_table_stores_only_the_parts_the_loss_uses():
-    G = _frozen_generator()
-    p = np.random.default_rng(4).dirichlet(np.ones(3), size=4)
-    for cfg, generator, stored in ((DistillConfig(alpha=0.0), None, [False, True, True]),
-                                   (DistillConfig(beta=0.0), G, [True, False, False])):
-        table = TeacherSideTable(generator, cfg, m=4, capacity=8)
-        table.side(p)
-        assert [a is not None for a in table.arrays] == stored
-        assert [a is not None for a in table.side(p)] == stored

@@ -813,6 +813,19 @@ def test_cli_invalid_config_value(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, old, new", [
+    ("distill", "milestones = 4\n", "milestones = 4\nalpha = 0.0\nbeta = 0.0\n"),
+    ("gan", "milestones =\n", "milestones = 5,3\n"),
+])
+def test_cli_invalid_section_value_fails_before_any_stage(tmp_path, capsys, section, old, new):
+    path, out = tmp_path / "bad.ini", tmp_path / "run"
+    assert TINY_INI.count(old) == 1
+    path.write_text(TINY_INI.replace(old, new))
+    assert main(["train-teacher", "--config", str(path), "--out", str(out)]) == 1
+    assert f"error: [{section}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_invalid_log_level(tiny_ini_path, monkeypatch, capsys):
     monkeypatch.setenv("MEKD_LOG_LEVEL", "chatty")
     assert main(["train-teacher", "--config", tiny_ini_path]) == 1
