@@ -325,13 +325,14 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    # Stable in both tails.
-    data = np.empty_like(a.data)
-    pos = a.data >= 0
-    data[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    e = np.exp(a.data[~pos])
-    data[~pos] = e / (1.0 + e)
+    data = sigmoid_values(a.data)
     return _result(data, (a,), "sigmoid", (lambda g: g * data * (1.0 - data),))
+
+
+def sigmoid_values(a: np.ndarray) -> np.ndarray:
+    """The logistic of each entry, stable in both tails: the values :func:`sigmoid` computes."""
+    e = np.exp(-np.abs(a))
+    return np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softmax(a: Tensor) -> Tensor:

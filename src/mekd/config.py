@@ -15,6 +15,8 @@ from dataclasses import fields
 
 from .distill import DistillConfig
 from .gan import GanConfig
+from .nets import HIDDEN_ACTIVATIONS
+from .optim import check_schedule
 
 
 class ConfigError(ValueError):
@@ -26,13 +28,18 @@ class ConfigError(ValueError):
 # fields of GanConfig and DistillConfig, in field order, keys lowercased.
 SECTION_TYPES = {"gan": GanConfig, "distill": DistillConfig}
 
+# (section, key) -> the values the key may take
+CHOICES = {("data", "kind"): ("blobs", "mnist"), ("data", "split"): ("same", "disjoint"),
+           **{(role, "activation"): HIDDEN_ACTIVATIONS
+              for role in ("teacher", "student", "generator", "discriminator")}}
+
 SCHEMA: dict[str, dict[str, object]] = {
     "run": {
         "seed": 0,
         "out_dir": "runs/default",
     },
     "data": {
-        "kind": "blobs",                # blobs | mnist
+        "kind": "blobs",
         "num_classes": 4,
         "n": 64,
         "per_class": 500,
@@ -44,7 +51,7 @@ SCHEMA: dict[str, dict[str, object]] = {
         "mnist_dir": "",
         "train_subset": 5000,
         "test_subset": 1000,
-        "split": "same",                # same | disjoint (GAN vs distill data)
+        "split": "same",                # GAN vs distill data
     },
     "teacher": {
         "hidden": (128, 64),
@@ -111,6 +118,7 @@ class RunConfig:
 
     def __init__(self, values: dict[str, dict[str, object]]):
         self._values = values
+        self.validate()
 
     @classmethod
     def defaults(cls) -> "RunConfig":
@@ -133,9 +141,7 @@ class RunConfig:
                     raise ConfigError(f"unknown config key {key!r} in section [{section}]")
                 values[section][key] = _parse_value(raw, SCHEMA[section][key],
                                                     f"[{section}] {key}")
-        cfg = cls(values)
-        cfg.validate()
-        return cfg
+        return cls(values)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -165,10 +171,17 @@ class RunConfig:
         return cls(**{**values, **overrides})
 
     def validate(self) -> None:
-        """Build each dataclass section, so its value checks run when the config is loaded."""
-        for section in SECTION_TYPES:
+        """Raise ConfigError, naming the section, unless every checked value is valid."""
+        for (section, key), allowed in CHOICES.items():
+            if self._values[section][key] not in allowed:
+                raise ConfigError(f"[{section}] {key} must be one of {', '.join(allowed)}, "
+                                  f"got {self._values[section][key]!r}")
+        for section in ("teacher", *SECTION_TYPES):
             try:
-                self.build(section)
+                if section == "teacher":
+                    check_schedule(self.get("teacher", "milestones"), self.get("teacher", "gamma"))
+                else:
+                    self.build(section)
             except ValueError as e:
                 raise ConfigError(f"[{section}] {e}") from None
 

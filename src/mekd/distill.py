@@ -14,10 +14,10 @@ same loop on the KL alone, at tau = kd_tau with weight 1 (alpha = 0, beta =
 1; see ``harness.distill_config``), so kd and mekd differ in both the
 distance weight and the KL temperature.
 
-A ``relu`` or ``leaky_relu`` student (and generator network, when alpha >
-0) trains through :func:`student_step`, array code that runs the tape's
-expressions and checks in its order, so every byte is the same; the tape
-step, which smooth activations and callable generators run, is its reference.
+The student trains through :func:`student_step`, array code that runs the
+tape's expressions and checks in its order, so every byte is the same as
+``student_loss(...)[0].backward()``, its reference; with alpha > 0 the
+generator must be a frozen :class:`~mekd.nets.Network`.
 
 Each loss takes the teacher's half already computed, as arrays, and the
 student's as a tensor: ``kld_loss(kl_teacher_terms(p_t, tau), p_s, tau)`` and
@@ -37,8 +37,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .data import Dataset, batches, spawn
 from .metrics import PROB_FLOOR, accuracy
-from .nets import (PIECEWISE_LINEAR, Network, backward_pass, classifier_pass,
-                   generator_backward, generator_pass)
+from .nets import Network, backward_pass, classifier_pass, generator_backward, generator_pass
 from .optim import SGD, TrainingDiverged, check_schedule, multistep_lr
 
 GEN_INPUTS = ("probs", "logits")
@@ -298,13 +297,6 @@ def student_loss(student: Network, teacher: BlindTeacher, generator,
 # -- the array step ---------------------------------------------------------
 
 
-def takes_array_step(cfg: DistillConfig, student: Network, generator) -> bool:
-    """Whether distill runs :func:`student_step` rather than the tape."""
-    return student.spec.activation in PIECEWISE_LINEAR and (
-        cfg.alpha == 0 or (isinstance(generator, Network)
-                           and generator.spec.activation in PIECEWISE_LINEAR))
-
-
 def _log_clip(p: np.ndarray, tau: float = 1.0):
     """ad.log(ad.clip(p, PROB_FLOOR, 1.0)) [* (1.0 / tau)] of an array, and its backward."""
     mask = (p >= PROB_FLOOR) & (p <= 1.0)
@@ -377,9 +369,9 @@ def _kld(side: TeacherSide, probs: np.ndarray, tau: float):
 
 def student_step(student: Network, teacher: BlindTeacher, generator: Network | None,
                  x_batch: np.ndarray, cfg: DistillConfig) -> tuple[float, dict]:
-    """:func:`student_loss` and its backward into the student's leaves, for
-    networks that pass :func:`takes_array_step`; returns the loss and its parts
-    as floats.  The distance's and the KL's gradients meet in one (commuting) sum."""
+    """:func:`student_loss` and its backward into the student's leaves; returns
+    the loss and its parts as floats.  The distance's and the KL's gradients
+    meet in one (commuting) sum."""
     x_batch = np.asarray(x_batch, dtype=np.float64)
     p_t = teacher.classify(x_batch)
     inputs, slopes, probs = classifier_pass(student, x_batch)
@@ -408,7 +400,8 @@ def student_step(student: Network, teacher: BlindTeacher, generator: Network | N
 def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
             cfg: DistillConfig, seed, eval_train: Dataset | None = None,
             eval_test: Dataset | None = None, epoch_callback=None) -> tuple[Network, list[dict]]:
-    """Train the student on student_loss; labels are never touched here.
+    """Train the student on student_loss, each step through :func:`student_step`;
+    labels are never touched here.
 
     eval_train/eval_test are optional: accuracy is evaluated (and labels
     read) only when they are provided.  Each step computes the teacher's
@@ -421,12 +414,11 @@ def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
             f"student width {student.spec.output_dim} != teacher classes {teacher.num_classes}")
     if student.spec.input_dim != ds.n:
         raise ValueError(f"student input width {student.spec.input_dim} != sample width {ds.n}")
-    if cfg.alpha > 0 and isinstance(generator, Network) and any(
-            p.requires_grad for p in generator.params.values()):
-        raise ValueError("generator must be frozen before distillation")
+    if cfg.alpha > 0 and (not isinstance(generator, Network)
+                          or any(p.requires_grad for p in generator.params.values())):
+        raise ValueError("alpha > 0 requires a frozen generator network")
 
     m = min(cfg.m, len(ds))
-    array_step = takes_array_step(cfg, student, generator)
     opt = SGD(student.params, cfg.lr, momentum=cfg.momentum)
     log: list[dict] = []
     for epoch in range(cfg.epochs):
@@ -438,13 +430,7 @@ def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
         for step, idx in enumerate(idx_batches):
             opt.zero_grad()
             try:
-                args = (student, teacher, generator, ds.samples[idx], cfg)
-                if array_step:
-                    total, parts = student_step(*args)
-                else:
-                    loss, parts = student_loss(*args)
-                    loss.backward()
-                    total = loss.item()
+                total, parts = student_step(student, teacher, generator, ds.samples[idx], cfg)
             except ad.NonFiniteError as e:
                 raise TrainingDiverged(
                     f"non-finite value while distilling at epoch {epoch} step {step} "

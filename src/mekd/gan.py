@@ -7,13 +7,13 @@ of the critic as explicit graph operations (exact for MLPs: every
 activation derivative is expressed through the activation values, and
 piecewise-linear ones contribute constant masks).
 
-The default step, wgan-gp with a ``relu`` or ``leaky_relu`` generator and
-critic (:func:`takes_array_step`), runs as array code with its backward
+The default step, wgan-gp with a ``relu`` or ``leaky_relu`` critic and any
+generator (:func:`takes_array_step`), runs as array code with its backward
 written out: :func:`wgan_critic_step` and :func:`wgan_generator_step` run
 the tape's numpy expressions and finiteness checks in the tape's order and
 hand each leaf gradient to ``Tensor._accumulate`` as ``Tensor.backward``
-would, so every output byte is the same.  The tape step, which vanilla and
-smooth-activation configs run, is their reference.
+would, so every output byte is the same.  The tape step, their reference, runs
+vanilla GANs and smooth critics, whose penalty needs the tape's second derivative.
 """
 
 from __future__ import annotations
@@ -164,10 +164,9 @@ def wgan_generator_loss(D: Network, G: Network, z_batch: np.ndarray) -> Tensor:
 # nets.hidden_pass and nets.backward_pass.  The ones go unchecked (finite).
 
 
-def takes_array_step(cfg: GanConfig, G: Network, D: Network) -> bool:
+def takes_array_step(cfg: GanConfig, D: Network) -> bool:
     """Whether run_gan_epoch runs the array step rather than the tape."""
-    return (cfg.variant == "wgan-gp" and G.spec.activation in PIECEWISE_LINEAR
-            and D.spec.activation in PIECEWISE_LINEAR)
+    return cfg.variant == "wgan-gp" and D.spec.activation in PIECEWISE_LINEAR
 
 
 def wgan_critic_step(D: Network, G: Network, x_batch: np.ndarray, z_batch: np.ndarray,
@@ -250,7 +249,7 @@ def run_gan_epoch(G: Network, D: Network, ds: Dataset, cfg: GanConfig, seed, epo
         np.random.default_rng(spawn(seed, KEY_GAN_EPOCH, epoch, stream)) for stream in range(3))
     idx_batches = batches(ds, min(cfg.m, len(ds)), seed=shuffle_rng, shuffle=True)
 
-    array_step = takes_array_step(cfg, G, D)
+    array_step = takes_array_step(cfg, D)
     rows = []
     step = 0
     for group_start in range(0, len(idx_batches), cfg.k):

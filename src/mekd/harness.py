@@ -27,7 +27,7 @@ from .distill import BlindTeacher, DistillConfig, distill, objective, teacher_si
 from .gan import sample_noise, train_gan
 from .metrics import (FrechetStats, accuracy, cross_entropy, cross_entropy_step,
                       frechet_distance, record_logit_gradients)
-from .nets import PIECEWISE_LINEAR, Network, NetworkSpec, build_network
+from .nets import Network, NetworkSpec, build_network
 from .optim import SGD, TrainingDiverged, multistep_lr
 
 log = logging.getLogger("mekd")
@@ -86,20 +86,17 @@ def append_results_row(path, header: list[str], row: list) -> None:
 
 
 def load_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
-    kind = cfg.get("data", "kind")
     seed = cfg.get("run", "seed")
     lo, hi = cfg.get("data", "value_lo"), cfg.get("data", "value_hi")
-    if kind == "blobs":
+    if cfg.get("data", "kind") == "blobs":
         train, test = (synth_blobs(cfg.get("data", "num_classes"), cfg.get("data", "n"),
                                    cfg.get("data", per_class), cfg.get("data", "spread"),
                                    seed=spawn(seed, key),
                                    centroid_seed=cfg.get("data", "centroid_seed"))
                        for per_class, key in (("per_class", KEY_DATA_TRAIN),
                                               ("per_class_test", KEY_DATA_TEST)))
-    elif kind == "mnist":
-        train, test = _load_mnist(cfg)
     else:
-        raise ConfigError(f"unknown dataset kind {kind!r}")
+        train, test = _load_mnist(cfg)
     if (lo, hi) != (0.0, 1.0):
         train, test = train.rescale((lo, hi)), test.rescale((lo, hi))
     return train, test
@@ -135,15 +132,12 @@ def gan_and_distill_splits(cfg: RunConfig, train: Dataset) -> tuple[Dataset, Dat
     so each half holds about half of every class (data files are sorted by
     class, so a prefix would not); it reads the training labels once.
     """
-    mode = cfg.get("data", "split")
-    if mode == "same":
+    if cfg.get("data", "split") == "same":
         return train, train
-    if mode == "disjoint":
-        rng = np.random.default_rng(spawn(cfg.get("run", "seed"), KEY_DATA_SPLIT))
-        order = rng.permutation(len(train))
-        order = order[np.argsort(train.labels[order], kind="stable")]
-        return train.take(np.sort(order[1::2])), train.take(np.sort(order[0::2]))
-    raise ConfigError(f"unknown data split {mode!r}")
+    rng = np.random.default_rng(spawn(cfg.get("run", "seed"), KEY_DATA_SPLIT))
+    order = rng.permutation(len(train))
+    order = order[np.argsort(train.labels[order], kind="stable")]
+    return train.take(np.sort(order[1::2])), train.take(np.sort(order[0::2]))
 
 
 # -- network construction ----------------------------------------------------
@@ -213,18 +207,11 @@ def distill_config(cfg: RunConfig, method: str) -> DistillConfig:
 # -- stage: teacher ----------------------------------------------------------
 
 
-def teacher_takes_array_step(net: Network) -> bool:
-    """Whether train_teacher runs metrics.cross_entropy_step rather than the tape."""
-    return net.spec.activation in PIECEWISE_LINEAR
-
-
 def train_teacher(cfg: RunConfig, train: Dataset, test: Dataset) -> tuple[Network, list[dict]]:
-    """The supervised teacher and its epoch rows.  A ``relu`` or ``leaky_relu``
-    teacher steps through ``metrics.cross_entropy_step``; the tape step, which
-    other activations run, is its reference."""
+    """The supervised teacher and its epoch rows, each step through
+    ``metrics.cross_entropy_step`` (the tape's ``cross_entropy`` is its reference)."""
     seed = cfg.get("run", "seed")
     net = build_role(cfg, "teacher", train.n, train.num_classes)
-    array_step = teacher_takes_array_step(net)
     opt = SGD(net.params, cfg.get("teacher", "lr"), momentum=cfg.get("teacher", "momentum"))
     labels = train.labels  # supervised pre-training is the teacher's privilege
     use_hflip = cfg.get("teacher", "hflip")
@@ -247,12 +234,7 @@ def train_teacher(cfg: RunConfig, train: Dataset, test: Dataset) -> tuple[Networ
                     for row in xb])
             try:
                 opt.zero_grad()
-                if array_step:
-                    loss = cross_entropy_step(net, xb, labels[idx])
-                else:
-                    tape_loss = cross_entropy(net(xb), labels[idx])
-                    tape_loss.backward()
-                    loss = tape_loss.item()
+                loss = cross_entropy_step(net, xb, labels[idx])
             except ad.NonFiniteError as e:
                 raise TrainingDiverged(
                     f"non-finite value in teacher training at epoch {epoch} step {step} "

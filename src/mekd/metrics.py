@@ -150,8 +150,8 @@ def cross_entropy(probs: Tensor, labels) -> Tensor:
 
 
 def cross_entropy_step(net: Network, x: np.ndarray, labels) -> float:
-    """``cross_entropy(net(x), labels)`` and its backward into the leaves of a
-    ``relu`` or ``leaky_relu`` net, as arrays (the tape's bits); returns the loss."""
+    """``cross_entropy(net(x), labels)`` and its backward into net's leaves,
+    as arrays (the tape's bits); returns the loss."""
     inputs, slopes, probs = classifier_pass(net, x)
     m = len(probs)
     onehot = np.zeros(probs.shape)

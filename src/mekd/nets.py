@@ -7,9 +7,9 @@ Role contracts enforced at build time:
   * discriminator maps R^n -> (0, 1) (terminal sigmoid); its pre-sigmoid
     score, ``logits``, is the critic value for wgan-gp
 
-The array steps (GAN, distillation, teacher) share one array layer walk of
-a ``relu`` or ``leaky_relu`` network, :func:`hidden_pass` and
-:func:`backward_pass`: the tape's expressions and checks, so its bits.
+The array steps (GAN, distillation, teacher) share one array layer walk,
+:func:`hidden_pass` and :func:`backward_pass`, for every hidden activation:
+the tape's expressions and checks in the tape's order, so its bits.
 """
 
 from __future__ import annotations
@@ -180,8 +180,9 @@ def build_network(spec: NetworkSpec, num_classes: int, seed) -> Network:
 
 # -- the array layer walk --------------------------------------------------
 #
-# leaky_relu is always z * slope (bit-equal to its no-grad np.maximum form),
-# slopes come from z's sign (as from the activation's) and go unchecked (finite).
+# leaky_relu is always z * slope (bit-equal to its no-grad np.maximum form);
+# piecewise slopes come from z's sign, and they, tanh and sigmoid go unchecked
+# (finite), as in the tape.  A sigmoid's slope is h: its backward is g * h * (1 - h).
 
 
 def affine(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
@@ -192,18 +193,24 @@ def affine(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
 
 def hidden_pass(net: Network, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Each layer's input (x first, the head's last) and each hidden activation's slope."""
-    leaky = net.spec.activation == "leaky_relu"
+    act = net.spec.activation
     inputs, slopes = [x], []
     for w, b in net.layers[:-1]:
         z = affine(inputs[-1], w, b)
-        if leaky:
+        if act == "leaky_relu":
             slopes.append(np.where(z > 0, 1.0, LEAKY_SLOPE))
             inputs.append(ad.checked(z * slopes[-1], "leaky_relu"))
-        else:
+        elif act == "relu":
             slopes.append((z > 0).astype(np.float64))
             h = np.maximum(z, 0.0)
             h += 0.0  # relu(-0.0) is +0.0
             inputs.append(h)
+        elif act == "tanh":
+            inputs.append(np.tanh(z))
+            slopes.append(1.0 - inputs[-1] * inputs[-1])
+        else:
+            inputs.append(ad.sigmoid_values(z))
+            slopes.append(inputs[-1])
     return inputs, slopes
 
 
@@ -211,6 +218,7 @@ def backward_pass(net: Network, inputs: list[np.ndarray], slopes: list[np.ndarra
                   g: np.ndarray, train: bool = True) -> np.ndarray | None:
     """Backprop g from net's head output, top layer down: with ``train`` into
     each layer's weight and then bias leaf, else to the input, returned."""
+    sigmoid = net.spec.activation == "sigmoid"
     for i in range(len(net.layers) - 1, -1, -1):
         w, b = net.layers[i]
         if train:
@@ -221,6 +229,8 @@ def backward_pass(net: Network, inputs: list[np.ndarray], slopes: list[np.ndarra
         g = g @ w.data.T
         if i:
             g = g * slopes[i - 1]
+            if sigmoid:
+                g = g * (1.0 - inputs[i])
     return g
 
 

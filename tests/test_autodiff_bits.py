@@ -24,7 +24,7 @@ from mekd.data import synth_blobs
 from mekd.gan import (GanConfig, _fixed, train_gan, wgan_critic_step,
                       wgan_discriminator_loss, wgan_generator_loss, wgan_generator_step)
 from mekd.metrics import PROB_FLOOR, cross_entropy, cross_entropy_step, record_logit_gradients
-from mekd.nets import NetworkSpec, build_network
+from mekd.nets import HIDDEN_ACTIVATIONS, NetworkSpec, build_network
 from specs import discriminator_spec, generator_spec, student_spec
 
 distill_module = importlib.import_module("mekd.distill")  # the package exports distill()
@@ -103,7 +103,7 @@ def _grads(net):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["relu", "leaky_relu"]), st.sampled_from(["relu", "leaky_relu"]),
+@given(st.sampled_from(HIDDEN_ACTIVATIONS), st.sampled_from(["relu", "leaky_relu"]),
        _WIDTHS, _WIDTHS, st.integers(1, 9), st.integers(2, 4), st.integers(1, 6),
        st.sampled_from([0.0, 10.0]), st.integers(0, 2**32 - 1))
 def test_array_gan_step_matches_tape_bit_for_bit(g_act, d_act, g_hidden, d_hidden, m,
@@ -152,7 +152,7 @@ def test_train_gan_array_step_matches_tape_step(monkeypatch):
         return ds, G, D, GanConfig(m=4, k=2, epochs=2, lr_G=0.05, lr_D=0.05)
 
     ds, G, D, cfg = tiny()
-    assert gan.takes_array_step(cfg, G, D)
+    assert gan.takes_array_step(cfg, D)
     array_G, array_log = train_gan(G, D, ds, cfg, seed=3)
     array_D = D
     monkeypatch.setattr(gan, "takes_array_step", lambda *args: False)
@@ -183,7 +183,7 @@ _WEIGHTS = st.sampled_from([(a, b) for a in (0.0, 0.5, 1.0) for b in (0.0, 1.0, 
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(["relu", "leaky_relu"]), st.sampled_from(["relu", "leaky_relu"]),
+@given(st.sampled_from(HIDDEN_ACTIVATIONS), st.sampled_from(HIDDEN_ACTIVATIONS),
        _WIDTHS, _WIDTHS, st.integers(1, 9), st.integers(2, 4), st.integers(1, 6), _WEIGHTS,
        st.sampled_from([1.0, 4.0]), st.sampled_from([1.0, 4.0]), st.sampled_from([1, 2]),
        st.sampled_from(GEN_INPUTS), st.sampled_from([1.0, 100.0]), st.integers(0, 2**32 - 1))
@@ -203,7 +203,6 @@ def test_array_distill_step_matches_tape_bit_for_bit(s_act, g_act, s_hidden, g_h
     p_t = _answers(rng, m, classes)
     teacher = BlindTeacher(lambda rows: p_t[:len(rows)], classes, cache=False)
     x = rng.uniform(size=(m, n)) * x_scale
-    assert distill_module.takes_array_step(cfg, student, G)
 
     def run(array):
         for p in student.params.values():
@@ -221,7 +220,7 @@ def test_array_distill_step_matches_tape_bit_for_bit(s_act, g_act, s_hidden, g_h
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["relu", "leaky_relu"]), _WIDTHS, st.integers(1, 9), st.integers(2, 4),
+@given(st.sampled_from(HIDDEN_ACTIVATIONS), _WIDTHS, st.integers(1, 9), st.integers(2, 4),
        st.integers(1, 6), st.sampled_from([1.0, 100.0]), st.integers(0, 2**32 - 1))
 def test_array_teacher_step_matches_tape_bit_for_bit(act, hidden, m, classes, n, x_scale, seed):
     # x_scale 100 saturates the softmax, so the picked probabilities hit the floor

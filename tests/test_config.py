@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mekd.config import SCHEMA, SECTION_TYPES, ConfigError, RunConfig
+from mekd.config import CHOICES, SCHEMA, SECTION_TYPES, ConfigError, RunConfig
 from mekd.distill import GEN_INPUTS, DistillConfig
 from mekd.gan import GENERATOR_LOSS_MODES, PRIOR_KINDS, VARIANTS, GanConfig
 
@@ -79,11 +79,30 @@ def test_non_finite_float_rejected(section, key, raw):
     ("gan", "variant = foo", "unknown GAN variant"),
     ("gan", "m = 0", "m and k must be >= 1"),
     ("gan", "milestones = 5,3", "milestones must be strictly increasing"),
+    *((role, "activation = gelu", "activation must be one of")
+      for role in ("teacher", "student", "generator", "discriminator")),
+    ("data", "split = x", "split must be one of"),
+    ("data", "kind = cifar", "kind must be one of"),
+    ("teacher", "milestones = 5,3", "milestones must be strictly increasing"),
+    ("teacher", "gamma = 0", "gamma must be in"),
 ])
 def test_invalid_section_values_rejected_at_load(section, lines, message):
     # each value used to load and fail only in the stage that built the section
     with pytest.raises(ConfigError, match=rf"^\[{section}\] {message}"):
         RunConfig.from_ini(f"[{section}]\n{lines}\n")
+
+
+def test_constructor_validates_its_values():
+    values = {section: dict(keys) for section, keys in SCHEMA.items()}
+    values["data"]["split"] = "x"
+    with pytest.raises(ConfigError, match=r"^\[data\] split must be one of same, disjoint"):
+        RunConfig(values)
+
+
+def test_replace_validates_the_new_value():
+    # a config changed in code is checked as a loaded one is
+    with pytest.raises(ConfigError, match=r"^\[distill\] p_norm must be 1 or 2, got 3"):
+        RunConfig.defaults().replace("distill", "p_norm", 3)
 
 
 def test_malformed_ini_rejected():
@@ -219,8 +238,8 @@ def _value_like(default):
     return _TEXT
 
 
-# [gan] and [distill] are checked at load, so their keys draw values that
-# GanConfig and DistillConfig accept: these, or a positive number of the type
+# [gan], [distill] and [teacher]'s schedule are checked at load, so their keys
+# draw values that the checks accept: these, or a positive number of the type
 _ACCEPTED = {
     "p_norm": st.sampled_from([1, 2]),
     "variant": st.sampled_from(VARIANTS),
@@ -248,8 +267,12 @@ def _configs(draw):
     for section, keys in SCHEMA.items():
         for key, default in keys.items():
             if draw(st.booleans()):
-                values = (_accepted_like(key, default) if section in SECTION_TYPES
-                          else _value_like(default))
+                if (section, key) in CHOICES:
+                    values = st.sampled_from(CHOICES[section, key])
+                elif section in SECTION_TYPES or (section == "teacher" and key in _ACCEPTED):
+                    values = _accepted_like(key, default)
+                else:
+                    values = _value_like(default)
                 cfg = cfg.replace(section, key, draw(values))
     return cfg
 

@@ -554,6 +554,13 @@ def test_distill_rejects_unfrozen_generator():
         distill(student, teacher, loose, ds, cfg, seed=0)
 
 
+def _tape_student_step(*args):
+    """student_step through the tape: its bit reference."""
+    loss, parts = student_loss(*args)
+    loss.backward()
+    return loss.item(), parts
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_distill_divergence_names_epoch_step_and_op(monkeypatch):
     ds, teacher, student, G, cfg = _train_setup()
@@ -561,61 +568,34 @@ def test_distill_divergence_names_epoch_step_and_op(monkeypatch):
                        match=r"while distilling at epoch \d+ step \d+ \(op '\w+'\)"):
         distill(student, teacher, G, ds, dataclasses.replace(cfg, lr=1e200), seed=0)
     # the array step diverges where the tape step does, naming the same op
-    assert distill_module.takes_array_step(cfg, student, G)
     messages = []
-    for array_step in (True, False):
+    for step in (distill_module.student_step, _tape_student_step):
         ds, teacher, student, G, cfg = _train_setup()
-        monkeypatch.setattr(distill_module, "takes_array_step",
-                            lambda *args, take=array_step: take)
+        monkeypatch.setattr(distill_module, "student_step", step)
         with pytest.raises(TrainingDiverged) as info:
             distill(student, teacher, G, ds, dataclasses.replace(cfg, lr=1e200), seed=0)
         messages.append((info.value.__cause__.op, str(info.value)))
     assert messages[0] == messages[1]
 
 
-def _classifier(activation, n=4, num_classes=3, seed=1):
-    return build_network(NetworkSpec("classifier", n, (8,), num_classes, activation=activation),
-                         num_classes, seed=seed)
-
-
-def _generator(activation, num_classes=3, n=4, seed=2):
-    return build_network(NetworkSpec("generator", num_classes, (8,), n, activation=activation),
-                         num_classes, seed=seed).freeze()
-
-
-@pytest.mark.parametrize("s_act, generator, alpha, want", [
-    ("relu", "relu", 1.0, True),
-    ("leaky_relu", "leaky_relu", 1.0, True),
-    ("relu", "leaky_relu", 0.5, True),
-    ("relu", "tanh", 1.0, False),
-    ("relu", "callable", 1.0, False),
-    ("tanh", "relu", 1.0, False),
-    ("sigmoid", None, 0.0, False),
-    ("relu", None, 0.0, True),
-    ("leaky_relu", "tanh", 0.0, True),  # alpha 0 never calls G
-])
-def test_array_step_selection(s_act, generator, alpha, want):
-    G = generator
-    if generator == "callable":
-        G = _generator("relu").__call__
-    elif generator is not None:
-        G = _generator(generator)
-    cfg = DistillConfig(alpha=alpha)
-    assert distill_module.takes_array_step(cfg, _classifier(s_act), G) is want
-
-
-def test_distill_smooth_student_runs_the_tape_step(monkeypatch):
+def test_distill_smooth_student_runs_the_array_step(monkeypatch):
     ds, teacher, _, G, cfg = _train_setup()
-    student = _classifier("tanh")
-    assert not distill_module.takes_array_step(cfg, student, G)
+    student = build_network(NetworkSpec("classifier", 4, (8,), 3, activation="tanh"), 3, seed=1)
 
-    def no_array_step(*args):
-        raise AssertionError("array step taken")
-    monkeypatch.setattr(distill_module, "student_step", no_array_step)
+    def no_tape_loss(*args):
+        raise AssertionError("tape step taken")
+    monkeypatch.setattr(distill_module, "student_loss", no_tape_loss)
     before = student.state_dict()
     _, log = distill(student, teacher, G, ds, dataclasses.replace(cfg, epochs=1), seed=0)
     assert len(log) == 1 and np.isfinite(log[0]["L_total"]) and log[0]["L_distance"] > 0
     assert any(not np.array_equal(before[k], p.data) for k, p in student.params.items())
+
+
+def test_distill_rejects_callable_generator_before_any_query():
+    ds, teacher, student, G, cfg = _train_setup()
+    with pytest.raises(ValueError, match="alpha > 0 requires a frozen generator network"):
+        distill(student, teacher, G.__call__, ds, cfg, seed=0)
+    assert teacher.query_count == 0
 
 
 def test_distill_rejects_student_input_width_mismatch():

@@ -385,19 +385,19 @@ def test_train_gan_discriminator_width_contract():
     ("wgan-gp", "relu", "leaky_relu", True),
     ("wgan-gp", "leaky_relu", "relu", True),
     ("wgan-gp", "relu", "tanh", False),
-    ("wgan-gp", "sigmoid", "leaky_relu", False),
+    ("wgan-gp", "sigmoid", "leaky_relu", True),  # the generator's activation is not read
     ("vanilla", "relu", "leaky_relu", False),
 ])
 def test_array_step_selection(variant, g_act, d_act, want):
-    G = build_network(NetworkSpec("generator", 2, (4,), 3, activation=g_act), 2, seed=0)
+    # g_act names the generator each case pairs with; the rule does not read it
     D = build_network(NetworkSpec("discriminator", 3, (4,), 1, activation=d_act), 2, seed=0)
-    assert takes_array_step(GanConfig(variant=variant), G, D) is want
+    assert takes_array_step(GanConfig(variant=variant), D) is want
 
 
 def test_train_gan_smooth_critic_runs_the_tape_step(monkeypatch):
     ds, G, _, cfg = _tiny_setup(variant="wgan-gp", epochs=1)
     D = build_network(NetworkSpec("discriminator", 4, (8,), 1, activation="tanh"), 2, seed=2)
-    assert not takes_array_step(cfg, G, D)
+    assert not takes_array_step(cfg, D)
 
     def no_array_step(*args):
         raise AssertionError("array step taken")
@@ -408,6 +408,22 @@ def test_train_gan_smooth_critic_runs_the_tape_step(monkeypatch):
     assert len(log) == 2
     assert all(np.isfinite([row["L_D"], row["L_G"]]).all() and row["gp"] > 0 for row in log)
     assert any(not np.array_equal(before[k], p.data) for k, p in D.params.items())
+
+
+def test_train_gan_smooth_generator_runs_the_array_step(monkeypatch):
+    ds, _, D, cfg = _tiny_setup(variant="wgan-gp", epochs=1)
+    G = build_network(NetworkSpec("generator", 2, (8,), 4, activation="sigmoid"), 2, seed=1)
+    assert takes_array_step(cfg, D)
+
+    def no_tape_loss(*args):
+        raise AssertionError("tape step taken")
+    monkeypatch.setattr(gan, "wgan_discriminator_loss", no_tape_loss)
+    monkeypatch.setattr(gan, "wgan_generator_loss", no_tape_loss)
+    before = G.state_dict()
+    _, log = train_gan(G, D, ds, cfg, seed=0)
+    assert len(log) == 2
+    assert all(np.isfinite([row["L_D"], row["L_G"]]).all() and row["gp"] > 0 for row in log)
+    assert any(not np.array_equal(before[k], p.data) for k, p in G.params.items())
 
 
 def test_train_gan_role_contract():
@@ -457,7 +473,7 @@ def test_train_gan_divergence_reports_epoch(monkeypatch):
     with pytest.raises(TrainingDiverged, match="epoch"):
         train_gan(G, D, ds, cfg, seed=0)
     # the array step diverges where the tape step does, naming the same op
-    assert takes_array_step(cfg, G, D)
+    assert takes_array_step(cfg, D)
     messages = []
     for array_step in (True, False):
         ds, G, D, _ = _tiny_setup()

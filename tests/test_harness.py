@@ -19,7 +19,8 @@ from mekd.cli import main
 from mekd.config import ConfigError, RunConfig
 from mekd.data import Dataset
 from mekd.distill import generation_distance, generator_input, kl_teacher_terms, kld_loss
-from mekd.metrics import FrechetStats, frechet_distance, record_logit_gradients
+from mekd.metrics import (FrechetStats, cross_entropy, frechet_distance,
+                          record_logit_gradients)
 from mekd.optim import TrainingDiverged
 
 TINY_INI = """\
@@ -299,6 +300,13 @@ def test_run_train_teacher_trained_does_not_warn(tiny_cfg, tmp_path, caplog):
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
+def _tape_cross_entropy_step(net, x, labels):
+    """metrics.cross_entropy_step through the tape: its bit reference."""
+    loss = cross_entropy(net(x), labels)
+    loss.backward()
+    return loss.item()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_teacher_divergence_reports_epoch_and_step(tiny_cfg, monkeypatch):
     cfg = tiny_cfg.replace("teacher", "lr", 1e200)
@@ -307,46 +315,38 @@ def test_train_teacher_divergence_reports_epoch_and_step(tiny_cfg, monkeypatch):
         harness.train_teacher(cfg, train, test)
     # the array step diverges where the tape step does, naming the same op
     messages = []
-    for array_step in (True, False):
-        monkeypatch.setattr(harness, "teacher_takes_array_step",
-                            lambda net, take=array_step: take)
+    for step in (harness.cross_entropy_step, _tape_cross_entropy_step):
+        monkeypatch.setattr(harness, "cross_entropy_step", step)
         with pytest.raises(TrainingDiverged) as info:
             harness.train_teacher(cfg, train, test)
         messages.append((info.value.__cause__.op, str(info.value)))
     assert messages[0] == messages[1]
 
 
-@pytest.mark.parametrize("activation, want", [
-    ("relu", True), ("leaky_relu", True), ("tanh", False), ("sigmoid", False)])
-def test_teacher_array_step_selection(tiny_cfg, activation, want):
-    net = harness.build_role(tiny_cfg.replace("teacher", "activation", activation),
-                             "teacher", 16, 3)
-    assert harness.teacher_takes_array_step(net) is want
-
-
 def _bits(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
 
-def test_train_teacher_array_step_matches_tape_step(tiny_cfg, monkeypatch):
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_train_teacher_array_step_matches_tape_step(tiny_cfg, monkeypatch, activation):
     # augmentation on: the array step sees the flipped and cropped batches
-    cfg = tiny_cfg.replace("teacher", "hflip", True).replace("teacher", "crop_pad", 1)
+    cfg = (tiny_cfg.replace("teacher", "hflip", True).replace("teacher", "crop_pad", 1)
+           .replace("teacher", "activation", activation))
     train, test = harness.load_dataset(cfg)
     array_net, array_rows = harness.train_teacher(cfg, train, test)
-    assert harness.teacher_takes_array_step(array_net)
-    monkeypatch.setattr(harness, "teacher_takes_array_step", lambda net: False)
+    monkeypatch.setattr(harness, "cross_entropy_step", _tape_cross_entropy_step)
     tape_net, tape_rows = harness.train_teacher(cfg, train, test)
     assert array_rows == tape_rows and len(tape_rows) == 8
     for name, p in tape_net.params.items():
         assert np.array_equal(_bits(array_net.params[name].data), _bits(p.data)), name
 
 
-def test_train_teacher_smooth_teacher_runs_the_tape_step(tiny_cfg, monkeypatch):
+def test_train_teacher_smooth_teacher_runs_the_array_step(tiny_cfg, monkeypatch):
     cfg = tiny_cfg.replace("teacher", "activation", "tanh").replace("teacher", "epochs", 2)
 
-    def no_array_step(*args):
-        raise AssertionError("array step taken")
-    monkeypatch.setattr(harness, "cross_entropy_step", no_array_step)
+    def no_tape_loss(*args):
+        raise AssertionError("tape step taken")
+    monkeypatch.setattr(harness, "cross_entropy", no_tape_loss)
     train, test = harness.load_dataset(cfg)
     _, rows = harness.train_teacher(cfg, train, test)
     assert len(rows) == 2 and all(np.isfinite(row["loss"]) for row in rows)
@@ -494,23 +494,28 @@ def test_run_distill_appends_rows(tiny_cfg, tmp_path):
     assert [ln.split(",")[0] for ln in lines[1:]] == ["mekd", "kd"]
 
 
-def test_run_distill_array_step_matches_tape_step(tiny_cfg, tmp_path, monkeypatch):
+@pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+def test_run_distill_array_step_matches_tape_step(tiny_cfg, tmp_path, monkeypatch, activation):
     # m = 25 leaves a short last batch of 20 of the 120 rows
-    base = tiny_cfg.replace("distill", "m", 25)
+    base = (tiny_cfg.replace("distill", "m", 25).replace("student", "activation", activation)
+            .replace("generator", "activation", activation))
     out = str(tmp_path / "run")
     harness.run_train_teacher(base, out)
     harness.run_train_gan(base, out)
     distill_module = sys.modules["mekd.distill"]  # the package exports distill()
-    assert distill_module.takes_array_step(harness.distill_config(base, "mekd"),
-                                           harness.build_role(base, "student", 16, 3),
-                                           harness.build_role(base, "generator", 16, 3))
+
+    def tape_student_step(*args):
+        loss, parts = distill_module.student_loss(*args)
+        loss.backward()
+        return loss.item(), parts
+
+    steps = (distill_module.student_step, tape_student_step)
     for cache in (True, False):
         cfg = base.replace("distill", "cache_teacher", cache)
         for method in ("mekd", "kd"):
             outputs = []
-            for array_step in (True, False):
-                monkeypatch.setattr(distill_module, "takes_array_step",
-                                    lambda *args, take=array_step: take)
+            for step in steps:
+                monkeypatch.setattr(distill_module, "student_step", step)
                 harness.run_distill(cfg, out, method)
                 outputs.append([open(os.path.join(out, name), "rb").read()
                                 for name in (f"student_{method}.ckpt",
