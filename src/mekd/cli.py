@@ -55,7 +55,7 @@ def _build_parser() -> _Parser:
     p = experiment("distill", "stage 2: train the student from the blind teacher")
     p.add_argument("--method", choices=("mekd", "kd"), default="mekd")
     experiment("ablate-fid", "distill once per generator snapshot, sorted by FID")
-    experiment("eval", "report accuracies and generator FID from checkpoints")
+    experiment("eval", "report accuracies from checkpoints and the FID train-gan recorded")
     p = experiment("grad-profile", "export logit-gradient profiles per loss")
     p.add_argument("--samples", type=int, default=8)
 

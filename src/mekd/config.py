@@ -15,7 +15,7 @@ from dataclasses import fields
 
 from .distill import DistillConfig
 from .gan import GanConfig
-from .nets import HIDDEN_ACTIVATIONS
+from .nets import HIDDEN_ACTIVATIONS, NetworkSpec
 from .optim import check_schedule
 
 
@@ -28,10 +28,12 @@ class ConfigError(ValueError):
 # fields of GanConfig and DistillConfig, in field order, keys lowercased.
 SECTION_TYPES = {"gan": GanConfig, "distill": DistillConfig}
 
+# the sections that each configure one network role
+ROLE_SECTIONS = ("teacher", "student", "generator", "discriminator")
+
 # (section, key) -> the values the key may take
 CHOICES = {("data", "kind"): ("blobs", "mnist"), ("data", "split"): ("same", "disjoint"),
-           **{(role, "activation"): HIDDEN_ACTIVATIONS
-              for role in ("teacher", "student", "generator", "discriminator")}}
+           **{(role, "activation"): HIDDEN_ACTIVATIONS for role in ROLE_SECTIONS}}
 
 SCHEMA: dict[str, dict[str, object]] = {
     "run": {
@@ -170,18 +172,38 @@ class RunConfig:
         values = {f.name: self._values[section][f.name.lower()] for f in fields(cls)}
         return cls(**{**values, **overrides})
 
+    def spec(self, which: str, n: int, num_classes: int) -> NetworkSpec:
+        """Role `which`'s network on data of width n with num_classes classes."""
+        hidden, activation = self.get(which, "hidden"), self.get(which, "activation")
+        if which in ("teacher", "student"):
+            return NetworkSpec("classifier", n, hidden, num_classes, activation)
+        if which == "generator":
+            return NetworkSpec("generator", num_classes, hidden, n, activation,
+                               output_range=(self.get("data", "value_lo"),
+                                             self.get("data", "value_hi")))
+        return NetworkSpec("discriminator", n, hidden, 1, activation)
+
     def validate(self) -> None:
-        """Raise ConfigError, naming the section, unless every checked value is valid."""
+        """Raise ConfigError, naming the section, unless every checked value is valid.
+
+        A [data] width or range that no network admits names the first role
+        whose network it breaks.
+        """
         for (section, key), allowed in CHOICES.items():
             if self._values[section][key] not in allowed:
                 raise ConfigError(f"[{section}] {key} must be one of {', '.join(allowed)}, "
                                   f"got {self._values[section][key]!r}")
-        for section in ("teacher", *SECTION_TYPES):
+        # MNIST's widths come from its files: 28x28 images of 10 digits
+        widths = ((784, 10) if self.get("data", "kind") == "mnist"
+                  else (self.get("data", "n"), self.get("data", "num_classes")))
+        for section in (*ROLE_SECTIONS, *SECTION_TYPES):
             try:
+                if section in SECTION_TYPES:
+                    self.build(section)
+                else:
+                    self.spec(section, *widths)
                 if section == "teacher":
                     check_schedule(self.get("teacher", "milestones"), self.get("teacher", "gamma"))
-                else:
-                    self.build(section)
             except ValueError as e:
                 raise ConfigError(f"[{section}] {e}") from None
 

@@ -27,7 +27,7 @@ from .distill import BlindTeacher, DistillConfig, distill, objective, teacher_si
 from .gan import sample_noise, train_gan
 from .metrics import (FrechetStats, accuracy, cross_entropy, cross_entropy_step,
                       frechet_distance, record_logit_gradients)
-from .nets import Network, NetworkSpec, build_network
+from .nets import Network, build_network
 from .optim import SGD, TrainingDiverged, multistep_lr
 
 log = logging.getLogger("mekd")
@@ -143,22 +143,10 @@ def gan_and_distill_splits(cfg: RunConfig, train: Dataset) -> tuple[Dataset, Dat
 # -- network construction ----------------------------------------------------
 
 
-def _spec(cfg: RunConfig, which: str, n: int, num_classes: int) -> NetworkSpec:
-    hidden = cfg.get(which, "hidden")
-    activation = cfg.get(which, "activation")
-    rng_range = (cfg.get("data", "value_lo"), cfg.get("data", "value_hi"))
-    if which in ("teacher", "student"):
-        return NetworkSpec("classifier", n, hidden, num_classes, activation)
-    if which == "generator":
-        return NetworkSpec("generator", num_classes, hidden, n, activation,
-                           output_range=rng_range)
-    return NetworkSpec("discriminator", n, hidden, 1, activation)
-
-
 def build_role(cfg: RunConfig, which: str, n: int, num_classes: int) -> Network:
     init_key = {"teacher": INIT_TEACHER, "student": INIT_STUDENT,
                 "generator": INIT_GENERATOR, "discriminator": INIT_DISCRIMINATOR}[which]
-    return build_network(_spec(cfg, which, n, num_classes), num_classes,
+    return build_network(cfg.spec(which, n, num_classes), num_classes,
                          spawn(cfg.get("run", "seed"), init_key))
 
 
@@ -269,6 +257,7 @@ def run_train_teacher(cfg: RunConfig, out_dir: str) -> dict:
 
 
 FID_ROWS = 2000
+GAN_SUMMARY_HEADER = ["gen_fid", "epochs", "config_hash"]
 
 
 def _fid_reference(seed, real: Dataset) -> np.ndarray:
@@ -297,6 +286,13 @@ def snapshot_name(epoch: int) -> str:
 
 
 def run_train_gan(cfg: RunConfig, out_dir: str) -> dict:
+    """Train the generator and record its FID, the one the later stages report.
+
+    The FID is computed before generator.ckpt, gan_log.csv and
+    gan_summary.csv are written, so a failed or interrupted FID leaves the
+    previous run's generator and its FID together.  The snapshots that
+    [gan] snapshot_epochs names are still written during training.
+    """
     os.makedirs(out_dir, exist_ok=True)
     run = _Run(cfg, out_dir)
     gan_ds, _ = run.splits()
@@ -308,22 +304,29 @@ def run_train_gan(cfg: RunConfig, out_dir: str) -> dict:
 
     G, gan_log = train_gan(run.build("generator"), run.build("discriminator"), gan_ds,
                            cfg.build("gan"), run.seed, epoch_callback=on_epoch)
+    fid = generator_fid(cfg, G, gan_ds)
     checkpoint.save(run.path("generator.ckpt"), G.state_dict())
     _write_log(run.path("gan_log.csv"), ["epoch", "step", "L_D", "L_G", "gp"], gan_log)
-    fid = generator_fid(cfg, G, gan_ds)
-    write_csv(run.path("gan_summary.csv"), ["gen_fid", "epochs", "config_hash"],
+    write_csv(run.path("gan_summary.csv"), GAN_SUMMARY_HEADER,
               [[fid, cfg.get("gan", "epochs"), cfg.hash()]])
     log.info("generator FID: %s", fid)
     return {"gen_fid": fid}
 
 
 def _read_gan_fid(out_dir: str) -> float | None:
+    """The FID that run_train_gan recorded, or None before it has run."""
     path = os.path.join(out_dir, "gan_summary.csv")
     if not os.path.exists(path):
         return None
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    return float(lines[1].split(",")[0]) if len(lines) > 1 else None
+    try:
+        if lines[0] == ",".join(GAN_SUMMARY_HEADER):
+            return float(lines[1].split(",")[0])
+    except (IndexError, ValueError):
+        pass
+    raise ConfigError(f"malformed {path}: expected the header {','.join(GAN_SUMMARY_HEADER)} "
+                      f"and a number under gen_fid; run train-gan again")
 
 
 # -- stage: distillation -------------------------------------------------------
@@ -341,6 +344,7 @@ def run_distill(cfg: RunConfig, out_dir: str, method: str) -> dict:
     blind = BlindTeacher.from_network(teacher, cache=dcfg.cache_teacher)
     G = run.load("generator", "generator.ckpt") if dcfg.alpha > 0 else None
     _, distill_ds = run.splits()
+    gen_fid = _read_gan_fid(out_dir) if method == "mekd" else None
     student, d_log = distill(run.build("student"), blind, G, distill_ds, dcfg, run.seed,
                              eval_train=run.train, eval_test=run.test)
 
@@ -350,7 +354,6 @@ def run_distill(cfg: RunConfig, out_dir: str, method: str) -> dict:
 
     teacher_acc = accuracy(teacher, run.test)
     student_acc = accuracy(student, run.test)
-    gen_fid = _read_gan_fid(out_dir) if method == "mekd" else None
     row = [method, run.seed, teacher_acc, student_acc, gen_fid,
            dcfg.alpha, dcfg.beta, dcfg.p_norm, dcfg.tau, cfg.hash()]
     append_results_row(run.path("results.csv"), RESULTS_HEADER, row)
@@ -400,15 +403,16 @@ def run_ablation_fid(cfg: RunConfig, out_dir: str) -> list[dict]:
 
 
 def run_eval(cfg: RunConfig, out_dir: str) -> dict:
+    """Test accuracies of the saved teacher and students, and the generator FID
+    that train-gan recorded in gan_summary.csv (absent until it has run)."""
     run = _Run(cfg, out_dir)
     out = {"teacher_acc": accuracy(run.load("teacher", "teacher.ckpt"), run.test)}
     for method in ("mekd", "kd"):
         name = f"student_{method}.ckpt"
         if os.path.exists(run.path(name)):
             out[f"student_acc_{method}"] = accuracy(run.load("student", name), run.test)
-    if os.path.exists(run.path("generator.ckpt")):
-        G = run.load("generator", "generator.ckpt")
-        out["gen_fid"] = generator_fid(cfg, G, run.splits()[0])
+    if (gen_fid := _read_gan_fid(out_dir)) is not None:
+        out["gen_fid"] = gen_fid
     for key, value in out.items():
         log.info("eval %s = %s", key, value)
     return out

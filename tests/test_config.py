@@ -85,6 +85,11 @@ def test_non_finite_float_rejected(section, key, raw):
     ("data", "kind = cifar", "kind must be one of"),
     ("teacher", "milestones = 5,3", "milestones must be strictly increasing"),
     ("teacher", "gamma = 0", "gamma must be in"),
+    ("student", "hidden = 0", r"layer widths must be positive, got \(64, 0, 4\)"),
+    ("generator", "hidden = 64,-1", r"layer widths must be positive, got \(4, 64, -1, 64\)"),
+    # a [data] width or range that no network admits names the first role it breaks
+    ("teacher", "[data]\nn = 0", r"layer widths must be positive, got \(0, 128, 64, 4\)"),
+    ("generator", "[data]\nvalue_lo = 1.0", r"output_range must satisfy lo < hi"),
 ])
 def test_invalid_section_values_rejected_at_load(section, lines, message):
     # each value used to load and fail only in the stage that built the section
@@ -261,6 +266,21 @@ def _accepted_like(key, default):
     return _value_like(default)
 
 
+def _spec_accepted(cfg, key):
+    """Values of a key that sets a network's widths or range which its
+    NetworkSpec accepts, given the config drawn so far (value_lo is drawn
+    before value_hi, so each is drawn against the other's current value)."""
+    if key == "hidden":
+        return st.lists(st.integers(1, 10**4), max_size=4).map(tuple)
+    if key in ("n", "num_classes"):
+        return st.integers(1, 10**6)
+    if key == "value_lo":
+        return st.floats(max_value=cfg.get("data", "value_hi"), exclude_max=True,
+                         allow_infinity=False)
+    return st.floats(min_value=cfg.get("data", "value_lo"), exclude_min=True,
+                     allow_infinity=False)
+
+
 @st.composite
 def _configs(draw):
     cfg = RunConfig.defaults()
@@ -269,6 +289,9 @@ def _configs(draw):
             if draw(st.booleans()):
                 if (section, key) in CHOICES:
                     values = st.sampled_from(CHOICES[section, key])
+                elif key == "hidden" or (section == "data" and key in (
+                        "n", "num_classes", "value_lo", "value_hi")):
+                    values = _spec_accepted(cfg, key)
                 elif section in SECTION_TYPES or (section == "teacher" and key in _ACCEPTED):
                     values = _accepted_like(key, default)
                 else:

@@ -387,6 +387,22 @@ def test_run_train_gan_outputs(tiny_cfg, tmp_path):
     assert summary_lines[1].endswith(tiny_cfg.hash())
 
 
+def test_run_train_gan_failed_fid_keeps_the_previous_generator_and_fid(tiny_cfg, tmp_path,
+                                                                       monkeypatch):
+    # eval reports the recorded FID, so the generator it describes must stay beside it
+    out = str(tmp_path / "run")
+    harness.run_train_gan(tiny_cfg, out)
+    names = ("generator.ckpt", "gan_log.csv", "gan_summary.csv")
+    before = {name: open(os.path.join(out, name), "rb").read() for name in names}
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("FID interrupted")
+    monkeypatch.setattr(harness, "generator_fid", fail)
+    with pytest.raises(RuntimeError, match="FID interrupted"):
+        harness.run_train_gan(tiny_cfg.replace("gan", "lr_g", 0.02), out)
+    assert {name: open(os.path.join(out, name), "rb").read() for name in names} == before
+
+
 def test_generator_fid_reference_covers_every_class(tiny_cfg, monkeypatch):
     # blobs are sorted by class: the first 2000 of 4000 rows are classes {0, 1}
     cfg = tiny_cfg.replace("data", "num_classes", 4).replace("data", "per_class", 1000)
@@ -544,6 +560,31 @@ def test_run_eval_reads_checkpoints_back(tiny_cfg, tmp_path):
     assert evaluated["student_acc_mekd"] == result["student_acc"]
     assert evaluated["teacher_acc"] == result["teacher_acc"]
     assert "gen_fid" in evaluated
+
+
+def test_run_eval_reports_the_recorded_fid_without_recomputing_it(tiny_cfg, tmp_path,
+                                                                   monkeypatch):
+    out = str(tmp_path / "run")
+    harness.run_train_teacher(tiny_cfg, out)
+    fid = harness.run_train_gan(tiny_cfg, out)["gen_fid"]
+
+    def no_fid(*args, **kwargs):
+        raise AssertionError("eval recomputed the FID")
+
+    def load(path, _real=harness.checkpoint.load):
+        assert os.path.basename(path) != "generator.ckpt", "eval loaded the generator"
+        return _real(path)
+    monkeypatch.setattr(harness, "generator_fid", no_fid)
+    monkeypatch.setattr(harness.checkpoint, "load", load)
+    assert repr(harness.run_eval(tiny_cfg, out)["gen_fid"]) == repr(fid)
+
+
+def test_run_eval_without_gan_summary_reports_no_fid(tiny_cfg, tmp_path):
+    out = str(tmp_path / "run")
+    harness.run_train_teacher(tiny_cfg, out)
+    harness.run_train_gan(tiny_cfg, out)
+    os.remove(os.path.join(out, "gan_summary.csv"))  # generator.ckpt stays
+    assert "gen_fid" not in harness.run_eval(tiny_cfg, out)
 
 
 def test_run_ablation_sorts_by_fid(tiny_cfg, tmp_path):
@@ -739,17 +780,29 @@ def test_stages_load_datasets_once_and_split_only_on_demand(tiny_cfg, tmp_path, 
         return calls["load_dataset"], calls["gan_and_distill_splits"]
 
     assert counts(harness.run_train_teacher) == (1, 0)
-    assert counts(harness.run_eval) == (1, 0)  # no generator.ckpt yet
+    assert counts(harness.run_eval) == (1, 0)
     assert counts(harness.run_train_gan) == (1, 1)
     assert counts(harness.run_distill, "mekd") == (1, 1)
     assert counts(harness.run_distill, "kd") == (1, 1)
     assert counts(harness.run_ablation_fid) == (1, 1)
-    assert counts(harness.run_eval) == (1, 1)
+    assert counts(harness.run_eval) == (1, 0)  # reads the FID the GAN stage recorded
     assert counts(harness.run_grad_profile) == (1, 0)
 
 
 def test_read_gan_fid_missing_returns_none(tmp_path):
     assert harness._read_gan_fid(str(tmp_path)) is None
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "gen_fid,epochs,config_hash\n",
+    "epochs,gen_fid,config_hash\n6,0.5,abc\n",
+    "gen_fid,epochs,config_hash\nlow,6,abc\n",
+])
+def test_read_gan_fid_malformed_summary_is_config_error(tmp_path, text):
+    (tmp_path / "gan_summary.csv").write_text(text)
+    with pytest.raises(ConfigError, match="malformed .*gan_summary.csv"):
+        harness._read_gan_fid(str(tmp_path))
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -821,6 +874,11 @@ def test_cli_invalid_config_value(tmp_path, capsys):
 @pytest.mark.parametrize("section, old, new", [
     ("distill", "milestones = 4\n", "milestones = 4\nalpha = 0.0\nbeta = 0.0\n"),
     ("gan", "milestones =\n", "milestones = 5,3\n"),
+    ("student", "[student]\nhidden = 8\n", "[student]\nhidden = 0\n"),
+    ("generator", "[generator]\nhidden = 24\n", "[generator]\nhidden = 64,-1\n"),
+    # a [data] width or range that no network admits names the first role it breaks
+    ("teacher", "\nn = 16\n", "\nn = 0\n"),
+    ("generator", "spread = 0.05\n", "spread = 0.05\nvalue_lo = 1.0\n"),
 ])
 def test_cli_invalid_section_value_fails_before_any_stage(tmp_path, capsys, section, old, new):
     path, out = tmp_path / "bad.ini", tmp_path / "run"
