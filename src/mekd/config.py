@@ -187,7 +187,7 @@ class RunConfig:
         """Raise ConfigError, naming the section, unless every checked value is valid.
 
         A [data] width or range that no network admits names the first role
-        whose network it breaks.
+        whose network it breaks; [data] n or num_classes of 1 names [data].
         """
         for (section, key), allowed in CHOICES.items():
             if self._values[section][key] not in allowed:
@@ -206,6 +206,9 @@ class RunConfig:
                     check_schedule(self.get("teacher", "milestones"), self.get("teacher", "gamma"))
             except ValueError as e:
                 raise ConfigError(f"[{section}] {e}") from None
+        n, classes = self.get("data", "n"), self.get("data", "num_classes")
+        if min(n, classes) < 2:  # the fewest that synth_blobs makes
+            raise ConfigError(f"[data] n and num_classes must be >= 2, got {n}, {classes}")
 
     def serialize(self) -> str:
         out = io.StringIO()

@@ -22,8 +22,11 @@ generator must be a frozen :class:`~mekd.nets.Network`.
 Each loss takes the teacher's half already computed, as arrays, and the
 student's as a tensor: ``kld_loss(kl_teacher_terms(p_t, tau), p_s, tau)`` and
 ``generation_distance(G, y_s, image_t, p_norm)`` with image_t = G(y_T).
-:func:`teacher_side` computes that half on each batch, for training and for
-the gradient profiles alike.
+:func:`teacher_side` computes that half from a batch of answers.  With the
+teacher's cache on, a row's answer, and so its half, never changes, and
+:func:`distill` keeps the half per dataset row.  In a batch of >= 2 rows a
+row's bits do not depend on the other rows; a 1-row product takes BLAS's
+gemv path, whose bits differ, so a 1-row batch is computed and never kept.
 """
 
 from __future__ import annotations
@@ -83,6 +86,11 @@ class BlindTeacher:
                 return net(x).data
 
         return cls(classify_fn, net.spec.output_dim, cache=cache)
+
+    @property
+    def caches(self) -> bool:
+        """Whether each row is asked once, so its answer never changes."""
+        return self._cache is not None
 
     def _ask(self, rows: np.ndarray) -> np.ndarray:
         """The function's answer for rows, counted, then checked."""
@@ -367,15 +375,12 @@ def _kld(side: TeacherSide, probs: np.ndarray, tau: float):
     return ad.checked_mean(per_row), back
 
 
-def student_step(student: Network, teacher: BlindTeacher, generator: Network | None,
+def student_step(student: Network, generator: Network | None, side: TeacherSide,
                  x_batch: np.ndarray, cfg: DistillConfig) -> tuple[float, dict]:
-    """:func:`student_loss` and its backward into the student's leaves; returns
-    the loss and its parts as floats.  The distance's and the KL's gradients
-    meet in one (commuting) sum."""
-    x_batch = np.asarray(x_batch, dtype=np.float64)
-    p_t = teacher.classify(x_batch)
-    inputs, slopes, probs = classifier_pass(student, x_batch)
-    side = teacher_side(generator, p_t, cfg)
+    """:func:`student_loss` against the teacher's half side of x_batch's answers,
+    and its backward into the student's leaves; returns the loss and its parts
+    as floats.  The distance's and the KL's gradients meet in one (commuting) sum."""
+    inputs, slopes, probs = classifier_pass(student, np.asarray(x_batch, dtype=np.float64))
     parts = {"distance": 0.0, "kld": 0.0}
     terms = []
     if cfg.alpha > 0:
@@ -397,6 +402,22 @@ def student_step(student: Network, teacher: BlindTeacher, generator: Network | N
 # -- training loop --------------------------------------------------------
 
 
+def _kept_side(kept: TeacherSide, filled: np.ndarray, idx: np.ndarray, generator,
+               p_t: np.ndarray, cfg: DistillConfig) -> TeacherSide:
+    """The teacher's half of dataset rows idx, whose answers are p_t: gathered
+    from kept (one row per dataset row) when every row is filled, else computed
+    on the batch and kept, unless the batch has 1 row (see the module docstring)."""
+    if len(idx) > 1 and filled[idx].all():
+        return TeacherSide(*(None if rows is None else rows.take(idx, axis=0) for rows in kept))
+    side = teacher_side(generator, p_t, cfg)
+    if len(idx) > 1:
+        for rows, part in zip(kept, side):
+            if rows is not None:
+                rows[idx] = part
+        filled[idx] = True
+    return side
+
+
 def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
             cfg: DistillConfig, seed, eval_train: Dataset | None = None,
             eval_test: Dataset | None = None, epoch_callback=None) -> tuple[Network, list[dict]]:
@@ -404,8 +425,9 @@ def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
     labels are never touched here.
 
     eval_train/eval_test are optional: accuracy is evaluated (and labels
-    read) only when they are provided.  Each step computes the teacher's
-    half of the loss on its batch (:func:`teacher_side`).
+    read) only when they are provided.  The teacher is asked on every batch.
+    With its cache on, the teacher's half of the loss is kept per dataset row
+    (:func:`_kept_side`); with it off, each batch's answers get their half computed.
     """
     if student.spec.role != "classifier":
         raise ValueError(f"student must be a classifier, got role {student.spec.role!r}")
@@ -420,6 +442,11 @@ def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
 
     m = min(cfg.m, len(ds))
     opt = SGD(student.params, cfg.lr, momentum=cfg.momentum)
+    if teacher.caches:
+        filled = np.zeros(len(ds), dtype=bool)
+        kept = TeacherSide(np.empty((len(ds), generator.spec.output_dim)) if cfg.alpha > 0 else None,
+                           *(np.empty((len(ds), teacher.num_classes)) if cfg.beta > 0 else None
+                             for _ in range(2)))
     log: list[dict] = []
     for epoch in range(cfg.epochs):
         lr = multistep_lr(epoch, cfg.lr, list(cfg.milestones), cfg.gamma)
@@ -429,8 +456,12 @@ def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
         idx_batches = batches(ds, m, seed=shuffle_rng, shuffle=True)
         for step, idx in enumerate(idx_batches):
             opt.zero_grad()
+            x_batch = ds.samples[idx]
             try:
-                total, parts = student_step(student, teacher, generator, ds.samples[idx], cfg)
+                p_t = teacher.classify(x_batch)
+                side = (_kept_side(kept, filled, idx, generator, p_t, cfg) if teacher.caches
+                        else teacher_side(generator, p_t, cfg))
+                total, parts = student_step(student, generator, side, x_batch, cfg)
             except ad.NonFiniteError as e:
                 raise TrainingDiverged(
                     f"non-finite value while distilling at epoch {epoch} step {step} "

@@ -8,6 +8,8 @@ logit gradient, must match it bit for bit.
 """
 
 import importlib
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +19,9 @@ from hypothesis.extra import numpy as hnp
 
 from mekd import autodiff as ad
 from mekd.autodiff import Tensor, no_grad
+from mekd.config import RunConfig
 from mekd.distill import (GEN_INPUTS, BlindTeacher, DistillConfig, kl_teacher_terms, kld_loss,
-                          student_loss)
+                          student_loss, teacher_side)
 from mekd import gan
 from mekd.data import synth_blobs
 from mekd.gan import (GanConfig, _fixed, train_gan, wgan_critic_step,
@@ -208,7 +211,8 @@ def test_array_distill_step_matches_tape_bit_for_bit(s_act, g_act, s_hidden, g_h
         for p in student.params.values():
             p.grad = None
         if array:
-            total, parts = distill_module.student_step(student, teacher, G, x, cfg)
+            side = distill_module.teacher_side(G, teacher.classify(x), cfg)
+            total, parts = distill_module.student_step(student, G, side, x, cfg)
         else:
             loss, parts = student_loss(student, teacher, G, x, cfg)
             loss.backward()
@@ -217,6 +221,48 @@ def test_array_distill_step_matches_tape_bit_for_bit(s_act, g_act, s_hidden, g_h
 
     assert run(True) == run(False)
     assert all(p.grad is None for p in G.params.values())
+
+
+def _generator_shapes():
+    """(name, generator spec, distill m) of configs/blobs.ini and of perfbench's pipeline-wide."""
+    root = Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(root / "perfbench"))
+    try:
+        wide = importlib.import_module("workloads").WORKLOADS["pipeline-wide"].config(0)
+    finally:
+        sys.path.remove(str(root / "perfbench"))
+    for name, cfg in (("blobs", RunConfig.from_file(root / "configs" / "blobs.ini")),
+                      ("pipeline-wide", wide)):
+        n, classes = cfg.get("data", "n"), cfg.get("data", "num_classes")
+        yield name, cfg.spec("generator", n, classes), cfg.get("distill", "m")
+
+
+@pytest.mark.parametrize("spec, m", [pytest.param(spec, m, id=name)
+                                     for name, spec, m in _generator_shapes()])
+@pytest.mark.parametrize("gen_input", GEN_INPUTS)
+@pytest.mark.parametrize("tau", [1.0, 4.0])
+def test_teacher_side_rows_do_not_depend_on_the_batch(spec, m, gen_input, tau):
+    """distill() keeps the teacher's half per dataset row, computed in one batch
+    and served into others, so a row's G(y_T), p and log p must have the same
+    bits in every batch of 2 to m + 1 rows as in an m-row batch.  1-row batches
+    are not kept: numpy's 1-row product takes BLAS's gemv path, whose bits
+    differ from the m-row product's (gemm) on some hosts."""
+    classes = spec.input_dim
+    G = build_network(spec, classes, seed=3).freeze()
+    cfg = DistillConfig(tau=tau, gen_tau=tau, gen_input=gen_input)
+    rng = np.random.default_rng(11)
+    pool = rng.dirichlet(np.full(classes, 0.2), size=m + 1)  # many entries below PROB_FLOOR
+    pool[0] = np.eye(classes)[1]
+    # an m-row reference for every pool row: rows 0..m-1, and rows 1..m
+    ref = [teacher_side(G, pool[:m], cfg), teacher_side(G, pool[1:], cfg)]
+    for rows in range(2, m + 2):
+        pick = rng.permutation(m + 1)[:rows]
+        side = teacher_side(G, pool[pick], cfg)
+        for i, j in enumerate(pick):
+            want = ref[0] if j < m else ref[1]
+            k = j if j < m else j - 1
+            for part, whole in zip(side, want):
+                assert _bits(part[i]).tolist() == _bits(whole[k]).tolist(), (rows, j)
 
 
 @settings(max_examples=40, deadline=None)

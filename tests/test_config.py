@@ -90,6 +90,8 @@ def test_non_finite_float_rejected(section, key, raw):
     # a [data] width or range that no network admits names the first role it breaks
     ("teacher", "[data]\nn = 0", r"layer widths must be positive, got \(0, 128, 64, 4\)"),
     ("generator", "[data]\nvalue_lo = 1.0", r"output_range must satisfy lo < hi"),
+    ("data", "n = 1", r"n and num_classes must be >= 2, got 1, 4"),
+    ("data", "num_classes = 1", r"n and num_classes must be >= 2, got 64, 1"),
 ])
 def test_invalid_section_values_rejected_at_load(section, lines, message):
     # each value used to load and fail only in the stage that built the section
@@ -268,12 +270,13 @@ def _accepted_like(key, default):
 
 def _spec_accepted(cfg, key):
     """Values of a key that sets a network's widths or range which its
-    NetworkSpec accepts, given the config drawn so far (value_lo is drawn
-    before value_hi, so each is drawn against the other's current value)."""
+    NetworkSpec and [data]'s own check accept, given the config drawn so far
+    (value_lo is drawn before value_hi, so each is drawn against the other's
+    current value)."""
     if key == "hidden":
         return st.lists(st.integers(1, 10**4), max_size=4).map(tuple)
     if key in ("n", "num_classes"):
-        return st.integers(1, 10**6)
+        return st.integers(2, 10**6)
     if key == "value_lo":
         return st.floats(max_value=cfg.get("data", "value_hi"), exclude_max=True,
                          allow_infinity=False)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mekd import checkpoint
-from mekd.data import synth_blobs
+from mekd.data import batches, spawn, synth_blobs
 from mekd.autodiff import Tensor
 from mekd.distill import (
     BlindTeacher,
@@ -17,7 +17,7 @@ from mekd.distill import (
     kld_loss,
     student_loss,
 )
-from mekd.nets import NetworkSpec, build_network
+from mekd.nets import Network, NetworkSpec, build_network
 from mekd.optim import TrainingDiverged
 from specs import generator_spec, student_spec, teacher_spec
 
@@ -540,6 +540,69 @@ def test_distill_query_accounting_with_cache():
     assert teacher.cache_hits == (cfg.epochs - 1) * len(ds)
 
 
+@pytest.mark.parametrize("m", [8, 23], ids=["full-batches", "1-row-last-batch"])
+def test_distill_with_cache_runs_the_teacher_half_forward_once_per_row(monkeypatch, m):
+    # 24 rows: m = 8 gives three full batches per epoch, m = 23 a 1-row last batch
+    def run(keep):
+        ds, teacher, student, G, cfg = _train_setup()
+        cfg = dataclasses.replace(cfg, m=m, epochs=4)
+        monkeypatch.setattr(BlindTeacher, "caches", property(lambda self: keep))
+        forwards = []  # the rows of each tape forward of G: only the teacher's half runs one
+        call = Network.__call__
+
+        def counted_call(net, x):
+            if net is G:
+                forwards.append(x.shape[0])
+            return call(net, x)
+
+        monkeypatch.setattr(Network, "__call__", counted_call)
+        trained, log = distill(student, teacher, G, ds, cfg, seed=0)
+        monkeypatch.undo()
+        return forwards, (checkpoint.dumps(trained.state_dict()), log), teacher, ds, cfg
+
+    forwards, kept, teacher, ds, cfg = run(True)
+    every_batch, computed, _, _, _ = run(False)
+    assert kept == computed  # the kept half has the bits of the recomputed one
+    assert teacher.query_count == len(ds)  # the teacher is asked as before
+    assert teacher.cache_hits == (cfg.epochs - 1) * len(ds)
+    epoch0 = [len(idx) for idx in batches(ds, m, seed=np.random.default_rng(
+        spawn(0, distill_module.KEY_DISTILL_EPOCH, 0)), shuffle=True)]
+    assert every_batch == epoch0 * cfg.epochs
+    assert forwards[:len(epoch0)] == epoch0
+    # later, a batch is computed only if it has 1 row, or holds epoch 0's 1-row batch's row
+    later = forwards[len(epoch0):]
+    if m == 8:
+        assert later == []
+    else:
+        assert later.count(m) <= 1
+        assert sorted(later) == [1] * (cfg.epochs - 1) + [m] * later.count(m)
+
+
+def test_distill_without_cache_steps_on_each_batch_fresh_answers(monkeypatch):
+    ds, _, student, G, cfg = _train_setup()
+    rng = np.random.default_rng(5)
+    answers = []  # a new answer on every call, even for a row asked before
+
+    def classify_fn(x):
+        answers.append(rng.dirichlet(np.ones(3), size=len(x)))
+        return answers[-1]
+
+    teacher = BlindTeacher(classify_fn, 3, cache=False)
+    sides = []
+    step = distill_module.student_step
+
+    def recording_step(student, generator, side, x, c):
+        sides.append(side)
+        return step(student, generator, side, x, c)
+
+    monkeypatch.setattr(distill_module, "student_step", recording_step)
+    distill(student, teacher, G, ds, cfg, seed=0)
+    assert len(sides) == len(answers) == cfg.epochs * len(ds) // cfg.m
+    for side, p_t in zip(sides, answers):
+        want = distill_module.teacher_side(G, p_t, cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(side, want))
+
+
 def test_distill_leaves_generator_bytes_untouched():
     ds, teacher, student, G, cfg = _train_setup()
     before = checkpoint.dumps(G.state_dict())
@@ -554,9 +617,10 @@ def test_distill_rejects_unfrozen_generator():
         distill(student, teacher, loose, ds, cfg, seed=0)
 
 
-def _tape_student_step(*args):
-    """student_step through the tape: its bit reference."""
-    loss, parts = student_loss(*args)
+def _tape_student_step(student, generator, side, x, cfg):
+    """student_step through the tape (student_loss given the teacher's half): its bit reference."""
+    probs = student(x)
+    loss, parts = distill_module.objective(generator, side, probs, probs, cfg)
     loss.backward()
     return loss.item(), parts
 

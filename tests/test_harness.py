@@ -512,31 +512,42 @@ def test_run_distill_appends_rows(tiny_cfg, tmp_path):
 
 @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
 def test_run_distill_array_step_matches_tape_step(tiny_cfg, tmp_path, monkeypatch, activation):
-    # m = 25 leaves a short last batch of 20 of the 120 rows
-    base = (tiny_cfg.replace("distill", "m", 25).replace("student", "activation", activation)
+    base = (tiny_cfg.replace("student", "activation", activation)
             .replace("generator", "activation", activation))
     out = str(tmp_path / "run")
     harness.run_train_teacher(base, out)
     harness.run_train_gan(base, out)
     distill_module = sys.modules["mekd.distill"]  # the package exports distill()
+    answers = []  # the answers of the batch being stepped
+    classify = distill_module.BlindTeacher.classify
 
-    def tape_student_step(*args):
-        loss, parts = distill_module.student_loss(*args)
+    def recording_classify(self, x):
+        answers[:] = [classify(self, x)]
+        return answers[0]
+
+    def tape_student_step(student, generator, side, x, cfg):
+        # the reference ignores the kept half: student_loss recomputes it from the answers
+        p_t = answers[0]
+        teacher = distill_module.BlindTeacher(lambda rows: p_t, p_t.shape[1], cache=False)
+        loss, parts = distill_module.student_loss(student, teacher, generator, x, cfg)
         loss.backward()
         return loss.item(), parts
 
+    monkeypatch.setattr(distill_module.BlindTeacher, "classify", recording_classify)
     steps = (distill_module.student_step, tape_student_step)
-    for cache in (True, False):
-        cfg = base.replace("distill", "cache_teacher", cache)
-        for method in ("mekd", "kd"):
-            outputs = []
-            for step in steps:
-                monkeypatch.setattr(distill_module, "student_step", step)
-                harness.run_distill(cfg, out, method)
-                outputs.append([open(os.path.join(out, name), "rb").read()
-                                for name in (f"student_{method}.ckpt",
-                                             f"distill_{method}_log.csv")])
-            assert outputs[0] == outputs[1], (cache, method)
+    # of the 120 rows, m = 25 leaves a short last batch of 20, and m = 7 one of 1
+    for m in (25, 7):
+        for cache in (True, False):
+            cfg = base.replace("distill", "m", m).replace("distill", "cache_teacher", cache)
+            for method in ("mekd", "kd"):
+                outputs = []
+                for step in steps:
+                    monkeypatch.setattr(distill_module, "student_step", step)
+                    harness.run_distill(cfg, out, method)
+                    outputs.append([open(os.path.join(out, name), "rb").read()
+                                    for name in (f"student_{method}.ckpt",
+                                                 f"distill_{method}_log.csv")])
+                assert outputs[0] == outputs[1], (m, cache, method)
 
 
 def test_run_distill_kd_is_the_same_under_any_beta(tiny_cfg, tmp_path):
@@ -878,6 +889,9 @@ def test_cli_invalid_config_value(tmp_path, capsys):
     ("generator", "[generator]\nhidden = 24\n", "[generator]\nhidden = 64,-1\n"),
     # a [data] width or range that no network admits names the first role it breaks
     ("teacher", "\nn = 16\n", "\nn = 0\n"),
+    # n and num_classes of 1 pass every network but no data set has them
+    ("data", "\nn = 16\n", "\nn = 1\n"),
+    ("data", "num_classes = 3\n", "num_classes = 1\n"),
     ("generator", "spread = 0.05\n", "spread = 0.05\nvalue_lo = 1.0\n"),
 ])
 def test_cli_invalid_section_value_fails_before_any_stage(tmp_path, capsys, section, old, new):
