@@ -7,7 +7,7 @@ student outputs, plus a KL term on the outputs themselves.
 """
 
 from .autodiff import NonFiniteError, Tensor, no_grad
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, TeacherConfig
 from .data import Dataset, parse_idx, serialize_idx, synth_blobs
 from .distill import (BlindTeacher, DistillConfig, TeacherAnswerError, distill,
                       generation_distance, kld_loss)
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlindTeacher", "ConfigError", "Dataset", "DistillConfig", "GanConfig",
     "Network", "NetworkSpec", "NonFiniteError", "RunConfig",
-    "SGD", "Tensor", "TeacherAnswerError", "TrainingDiverged", "accuracy",
+    "SGD", "Tensor", "TeacherAnswerError", "TeacherConfig", "TrainingDiverged", "accuracy",
     "build_network", "distill", "frechet_distance", "generation_distance",
     "kld_loss", "matrix_sqrt_psd", "multistep_lr", "no_grad", "parse_idx",
     "sample_noise", "serialize_idx", "synth_blobs", "train_gan", "__version__",

@@ -11,22 +11,42 @@ import configparser
 import hashlib
 import io
 import math
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 from .distill import DistillConfig
 from .gan import GanConfig
 from .nets import HIDDEN_ACTIVATIONS, NetworkSpec
-from .optim import check_schedule
+from .optim import check_schedule, check_sgd
 
 
 class ConfigError(ValueError):
     """Invalid, unknown, or uncoercible configuration values."""
 
 
+@dataclass(frozen=True)
+class TeacherConfig:
+    """Teacher pre-training; its fields, in order, are [teacher]'s keys after hidden, activation."""
+    epochs: int = 60
+    m: int = 64
+    lr: float = 0.2
+    momentum: float = 0.9
+    milestones: tuple[int, ...] = (40, 52)
+    gamma: float = 0.1
+    hflip: bool = False
+    crop_pad: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 1 or self.m < 1:  # a teacher of 0 epochs is at chance
+            raise ValueError(f"epochs and m must be >= 1, got {self.epochs}, {self.m}")
+        check_sgd(self.lr, self.momentum)
+        check_schedule(self.milestones, self.gamma)
+
+
 # section -> key -> default; the type of the default drives parsing and
-# formatting (tuples are comma-separated ints).  [gan] and [distill] are the
-# fields of GanConfig and DistillConfig, in field order, keys lowercased.
-SECTION_TYPES = {"gan": GanConfig, "distill": DistillConfig}
+# formatting (tuples are comma-separated ints).  [gan], [distill] and
+# [teacher]'s training keys are the fields of their SECTION_TYPES dataclass,
+# in field order, keys lowercased.
+SECTION_TYPES = {"teacher": TeacherConfig, "gan": GanConfig, "distill": DistillConfig}
 
 # the sections that each configure one network role
 ROLE_SECTIONS = ("teacher", "student", "generator", "discriminator")
@@ -34,6 +54,11 @@ ROLE_SECTIONS = ("teacher", "student", "generator", "discriminator")
 # (section, key) -> the values the key may take
 CHOICES = {("data", "kind"): ("blobs", "mnist"), ("data", "split"): ("same", "disjoint"),
            **{(role, "activation"): HIDDEN_ACTIVATIONS for role in ROLE_SECTIONS}}
+
+
+def _keys(cls) -> dict[str, object]:
+    return {f.name.lower(): f.default for f in fields(cls)}
+
 
 SCHEMA: dict[str, dict[str, object]] = {
     "run": {
@@ -55,18 +80,7 @@ SCHEMA: dict[str, dict[str, object]] = {
         "test_subset": 1000,
         "split": "same",                # GAN vs distill data
     },
-    "teacher": {
-        "hidden": (128, 64),
-        "activation": "relu",
-        "epochs": 60,
-        "m": 64,
-        "lr": 0.2,
-        "momentum": 0.9,
-        "milestones": (40, 52),
-        "gamma": 0.1,
-        "hflip": False,
-        "crop_pad": 0,
-    },
+    "teacher": {"hidden": (128, 64), "activation": "relu", **_keys(TeacherConfig)},
     "student": {
         "hidden": (32,),
         "activation": "relu",
@@ -79,8 +93,8 @@ SCHEMA: dict[str, dict[str, object]] = {
         "hidden": (128, 64),
         "activation": "leaky_relu",
     },
-    **{section: {f.name.lower(): f.default for f in fields(cls)}
-       for section, cls in SECTION_TYPES.items()},
+    "gan": _keys(GanConfig),
+    "distill": _keys(DistillConfig),
 }
 
 
@@ -167,7 +181,7 @@ class RunConfig:
         return RunConfig(values)
 
     def build(self, section: str, **overrides):
-        """The section as its dataclass (GanConfig, DistillConfig), overrides applied."""
+        """The section as its SECTION_TYPES dataclass, overrides applied."""
         cls = SECTION_TYPES[section]
         values = {f.name: self._values[section][f.name.lower()] for f in fields(cls)}
         return cls(**{**values, **overrides})
@@ -184,7 +198,7 @@ class RunConfig:
         return NetworkSpec("discriminator", n, hidden, 1, activation)
 
     def validate(self) -> None:
-        """Raise ConfigError, naming the section, unless every checked value is valid.
+        """Raise ConfigError, naming the section and key, unless every checked value is valid.
 
         A [data] width or range that no network admits names the first role
         whose network it breaks; [data] n or num_classes of 1 names [data].
@@ -196,19 +210,25 @@ class RunConfig:
         # MNIST's widths come from its files: 28x28 images of 10 digits
         widths = ((784, 10) if self.get("data", "kind") == "mnist"
                   else (self.get("data", "n"), self.get("data", "num_classes")))
-        for section in (*ROLE_SECTIONS, *SECTION_TYPES):
-            try:
-                if section in SECTION_TYPES:
-                    self.build(section)
-                else:
-                    self.spec(section, *widths)
-                if section == "teacher":
-                    check_schedule(self.get("teacher", "milestones"), self.get("teacher", "gamma"))
-            except ValueError as e:
-                raise ConfigError(f"[{section}] {e}") from None
+        try:
+            for section in ROLE_SECTIONS:
+                self.spec(section, *widths)
+            for section in SECTION_TYPES:
+                self.build(section)
+        except ValueError as e:
+            raise ConfigError(f"[{section}] {e}") from None
         n, classes = self.get("data", "n"), self.get("data", "num_classes")
         if min(n, classes) < 2:  # the fewest that synth_blobs makes
             raise ConfigError(f"[data] n and num_classes must be >= 2, got {n}, {classes}")
+        for key, least in (("per_class", 1), ("per_class_test", 1), ("spread", 0.0),
+                           ("train_subset", 1), ("test_subset", 1)):
+            if self.get("data", key) < least:
+                raise ConfigError(f"[data] {key} must be >= {least}, got {self.get('data', key)}")
+        teacher, side = self.build("teacher"), math.isqrt(widths[0])
+        if (teacher.hflip or teacher.crop_pad) and side * side != widths[0]:
+            raise ConfigError(f"[teacher] hflip and crop_pad need a square [data] n, got {widths[0]}")
+        if not 0 <= teacher.crop_pad < side:
+            raise ConfigError(f"[teacher] crop_pad must be in [0, {side}), got {teacher.crop_pad}")
 
     def serialize(self) -> str:
         out = io.StringIO()

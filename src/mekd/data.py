@@ -176,10 +176,9 @@ def _spatial_side(n: int) -> int:
 
 
 def hflip(x: np.ndarray) -> np.ndarray:
-    """Mirror a flattened square image left-right."""
+    """Mirror a flattened square image, or each row of a batch of them, left-right."""
     side = _spatial_side(x.shape[-1])
-    return x.reshape(-1, side, side)[:, :, ::-1].reshape(x.shape).copy() \
-        if x.ndim == 2 else x.reshape(side, side)[:, ::-1].reshape(-1).copy()
+    return x.reshape(-1, side, side)[:, :, ::-1].reshape(x.shape).copy()
 
 
 def random_crop(x: np.ndarray, pad: int, rng: np.random.Generator) -> np.ndarray:
@@ -193,32 +192,13 @@ def random_crop(x: np.ndarray, pad: int, rng: np.random.Generator) -> np.ndarray
     return padded[r0:r0 + side, c0:c0 + side].reshape(-1).copy()
 
 
-def augment(x: np.ndarray, hflip_flag: bool = False, crop_pad: int = 0,
-            rng: np.random.Generator | None = None) -> np.ndarray:
-    """Apply the enabled augmentations to one flattened sample; identity if none."""
-    out = x
-    if hflip_flag:
-        out = hflip(out)
-    if crop_pad > 0:
-        if rng is None:
-            raise ValueError("random_crop needs an rng")
-        out = random_crop(out, crop_pad, rng)
-    return out
-
-
 # -- batching -------------------------------------------------------------
 
 
-def batches(ds: Dataset, m: int, seed=None, shuffle: bool = True) -> list[np.ndarray]:
-    """Index arrays partitioning the dataset; the last batch may be short."""
-    total = len(ds)
+def batches(ds: Dataset, m: int, seed=None) -> list[np.ndarray]:
+    """Shuffled index arrays partitioning the dataset, m rows each (all rows
+    if m exceeds them); the last batch may be short."""
     if m < 1:
         raise ValueError(f"batch size must be >= 1, got {m}")
-    if m > total:
-        raise ValueError(f"batch size {m} exceeds dataset size {total}")
-    order = np.arange(total)
-    if shuffle:
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(total)
-    return [order[i:i + m] for i in range(0, total, m)]
-
+    order = np.random.default_rng(seed).permutation(len(ds))
+    return [order[i:i + m] for i in range(0, len(ds), m)]

@@ -41,7 +41,7 @@ from .autodiff import Tensor, no_grad
 from .data import Dataset, batches, spawn
 from .metrics import PROB_FLOOR, accuracy
 from .nets import Network, backward_pass, classifier_pass, generator_backward, generator_pass
-from .optim import SGD, TrainingDiverged, check_schedule, multistep_lr
+from .optim import SGD, TrainingDiverged, check_schedule, check_sgd, multistep_lr
 
 GEN_INPUTS = ("probs", "logits")
 KEY_DISTILL_EPOCH = 31  # spawn key (31, epoch) of each epoch's shuffle
@@ -170,6 +170,7 @@ class DistillConfig:
             raise ValueError(f"gen_input must be one of {GEN_INPUTS}")
         if self.m < 1 or self.epochs < 0:
             raise ValueError("m must be >= 1 and epochs >= 0")
+        check_sgd(self.lr, self.momentum)
         check_schedule(self.milestones, self.gamma)
 
 
@@ -440,7 +441,6 @@ def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
                           or any(p.requires_grad for p in generator.params.values())):
         raise ValueError("alpha > 0 requires a frozen generator network")
 
-    m = min(cfg.m, len(ds))
     opt = SGD(student.params, cfg.lr, momentum=cfg.momentum)
     if teacher.caches:
         filled = np.zeros(len(ds), dtype=bool)
@@ -453,7 +453,7 @@ def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
         opt.lr = lr
         shuffle_rng = np.random.default_rng(spawn(seed, KEY_DISTILL_EPOCH, epoch))
         sums = {"total": 0.0, "distance": 0.0, "kld": 0.0}
-        idx_batches = batches(ds, m, seed=shuffle_rng, shuffle=True)
+        idx_batches = batches(ds, cfg.m, seed=shuffle_rng)
         for step, idx in enumerate(idx_batches):
             opt.zero_grad()
             x_batch = ds.samples[idx]

@@ -28,7 +28,7 @@ from .autodiff import Tensor, no_grad
 from .data import Dataset, batches, spawn
 from .nets import (HIDDEN_DERIVATIVE, PIECEWISE_LINEAR, Network, affine, backward_pass,
                    generator_backward, generator_pass, hidden_pass)
-from .optim import SGD, TrainingDiverged, check_schedule, multistep_lr
+from .optim import SGD, TrainingDiverged, check_schedule, check_sgd, multistep_lr
 
 EPS = 1e-7
 KEY_GAN_EPOCH = 21  # spawn keys (21, epoch, stream) of each epoch's generators
@@ -59,8 +59,8 @@ class GanConfig:
     def __post_init__(self):
         if self.m < 1 or self.k < 1 or self.epochs < 0:
             raise ValueError("m and k must be >= 1 and epochs >= 0")
-        if self.lr_G <= 0 or self.lr_D <= 0:
-            raise ValueError("learning rates must be positive")
+        check_sgd(self.lr_G, self.momentum, "lr_g")
+        check_sgd(self.lr_D, self.momentum, "lr_d")
         if self.prior not in PRIOR_KINDS:
             raise ValueError(f"unknown noise prior {self.prior!r}; expected one of {PRIOR_KINDS}")
         if self.variant not in VARIANTS:
@@ -247,7 +247,7 @@ def run_gan_epoch(G: Network, D: Network, ds: Dataset, cfg: GanConfig, seed, epo
     """One epoch of Alg.-style alternation; returns this epoch's log rows."""
     shuffle_rng, noise_rng, gp_rng = (
         np.random.default_rng(spawn(seed, KEY_GAN_EPOCH, epoch, stream)) for stream in range(3))
-    idx_batches = batches(ds, min(cfg.m, len(ds)), seed=shuffle_rng, shuffle=True)
+    idx_batches = batches(ds, cfg.m, seed=shuffle_rng)
 
     array_step = takes_array_step(cfg, D)
     rows = []

@@ -21,8 +21,8 @@ import numpy as np
 from . import autodiff as ad
 from . import checkpoint
 from .autodiff import no_grad
-from .config import ConfigError, RunConfig
-from .data import Dataset, augment, batches, parse_idx, spawn, synth_blobs
+from .config import ConfigError, RunConfig, TeacherConfig
+from .data import Dataset, batches, hflip, parse_idx, random_crop, spawn, synth_blobs
 from .distill import BlindTeacher, DistillConfig, distill, objective, teacher_side
 from .gan import sample_noise, train_gan
 from .metrics import (FrechetStats, accuracy, cross_entropy, cross_entropy_step,
@@ -195,31 +195,26 @@ def distill_config(cfg: RunConfig, method: str) -> DistillConfig:
 # -- stage: teacher ----------------------------------------------------------
 
 
-def train_teacher(cfg: RunConfig, train: Dataset, test: Dataset) -> tuple[Network, list[dict]]:
-    """The supervised teacher and its epoch rows, each step through
-    ``metrics.cross_entropy_step`` (the tape's ``cross_entropy`` is its reference)."""
-    seed = cfg.get("run", "seed")
-    net = build_role(cfg, "teacher", train.n, train.num_classes)
-    opt = SGD(net.params, cfg.get("teacher", "lr"), momentum=cfg.get("teacher", "momentum"))
+def train_teacher(net: Network, train: Dataset, test: Dataset, cfg: TeacherConfig,
+                  seed) -> tuple[Network, list[dict]]:
+    """Train the supervised teacher; returns it and its epoch rows, each step
+    through ``metrics.cross_entropy_step`` (the tape's ``cross_entropy`` is its reference)."""
+    opt = SGD(net.params, cfg.lr, momentum=cfg.momentum)
     labels = train.labels  # supervised pre-training is the teacher's privilege
-    use_hflip = cfg.get("teacher", "hflip")
-    crop_pad = cfg.get("teacher", "crop_pad")
     rows = []
-    for epoch in range(cfg.get("teacher", "epochs")):
-        lr = multistep_lr(epoch, cfg.get("teacher", "lr"),
-                          list(cfg.get("teacher", "milestones")), cfg.get("teacher", "gamma"))
-        opt.lr = lr
+    for epoch in range(cfg.epochs):
+        opt.lr = lr = multistep_lr(epoch, cfg.lr, list(cfg.milestones), cfg.gamma)
         rng = np.random.default_rng(spawn(seed, KEY_TEACHER_EPOCH, epoch))
         total = 0.0
-        idx_batches = batches(train, min(cfg.get("teacher", "m"), len(train)),
-                              seed=rng, shuffle=True)
+        idx_batches = batches(train, cfg.m, seed=rng)
         for step, idx in enumerate(idx_batches):
-            xb = train.samples[idx]
-            if use_hflip or crop_pad > 0:
-                xb = np.stack([
-                    augment(row, hflip_flag=use_hflip and rng.random() < 0.5,
-                            crop_pad=crop_pad, rng=rng)
-                    for row in xb])
+            xb = train.samples[idx]  # a copy, so its rows are augmented in place
+            if cfg.hflip or cfg.crop_pad:
+                for row in xb:
+                    if cfg.hflip and rng.random() < 0.5:
+                        row[:] = hflip(row)
+                    if cfg.crop_pad:
+                        row[:] = random_crop(row, cfg.crop_pad, rng)
             try:
                 opt.zero_grad()
                 loss = cross_entropy_step(net, xb, labels[idx])
@@ -229,9 +224,8 @@ def train_teacher(cfg: RunConfig, train: Dataset, test: Dataset) -> tuple[Networ
                     f"(op {e.op!r})") from e
             opt.step()
             total += loss
-        rows.append({"epoch": epoch, "loss": total / len(idx_batches),
-                     "train_acc": accuracy(net, train), "test_acc": accuracy(net, test),
-                     "lr": lr})
+        rows.append({"epoch": epoch, "loss": total / len(idx_batches), "lr": lr,
+                     "train_acc": accuracy(net, train), "test_acc": accuracy(net, test)})
         log.debug("teacher epoch %d: %s", epoch, rows[-1])
     return net, rows
 
@@ -239,18 +233,16 @@ def train_teacher(cfg: RunConfig, train: Dataset, test: Dataset) -> tuple[Networ
 def run_train_teacher(cfg: RunConfig, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     run = _Run(cfg, out_dir)
-    net, rows = train_teacher(cfg, run.train, run.test)
+    net, rows = train_teacher(run.build("teacher"), run.train, run.test, cfg.build("teacher"),
+                              run.seed)
     checkpoint.save(run.path("teacher.ckpt"), net.state_dict())
     _write_log(run.path("teacher_log.csv"), ["epoch", "loss", "train_acc", "test_acc", "lr"], rows)
-    summary = {"teacher_train_acc": rows[-1]["train_acc"] if rows else None,
-               "teacher_test_acc": rows[-1]["test_acc"] if rows else accuracy(net, run.test)}
-    log.info("teacher: train_acc=%s test_acc=%s", summary["teacher_train_acc"],
-             summary["teacher_test_acc"])
-    if summary["teacher_test_acc"] <= 1.0 / run.train.num_classes:
-        log.warning("teacher test accuracy %s is at or below chance (1/%d); "
-                    "students distilled from it learn nothing",
-                    summary["teacher_test_acc"], run.train.num_classes)
-    return summary
+    last = rows[-1]
+    log.info("teacher: train_acc=%s test_acc=%s", last["train_acc"], last["test_acc"])
+    if last["test_acc"] <= 1.0 / run.train.num_classes:
+        log.warning("teacher test accuracy %s is at or below chance (1/%d); students distilled "
+                    "from it learn nothing", last["test_acc"], run.train.num_classes)
+    return {"teacher_train_acc": last["train_acc"], "teacher_test_acc": last["test_acc"]}
 
 
 # -- stage: GAN ---------------------------------------------------------------

@@ -18,10 +18,7 @@ class SGD:
 
     def __init__(self, params: dict[str, Tensor], lr: float, momentum: float = 0.0,
                  clip_norm: float | None = None):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+        check_sgd(lr, momentum)
         if clip_norm is not None and clip_norm <= 0:
             raise ValueError(f"clip_norm must be positive when set, got {clip_norm}")
         self.params = dict(params)
@@ -52,6 +49,14 @@ class SGD:
             else:
                 v[...] = grads[name]
             p.data -= (self.lr * v).astype(p.data.dtype, copy=False)
+
+
+def check_sgd(lr: float, momentum: float, lr_key: str = "lr") -> None:
+    """Raise ValueError unless learning rate `lr_key` is positive and momentum is in [0, 1)."""
+    if not lr > 0:
+        raise ValueError(f"{lr_key} must be positive, got {lr}")
+    if not 0.0 <= momentum < 1.0:
+        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
 
 
 def check_schedule(milestones: Sequence[int], gamma: float) -> None:

@@ -1,11 +1,15 @@
+import logging
+import math
 import os
+import re
 from dataclasses import fields
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mekd.config import CHOICES, SCHEMA, SECTION_TYPES, ConfigError, RunConfig
+from mekd.cli import main
+from mekd.config import CHOICES, SCHEMA, SECTION_TYPES, ConfigError, RunConfig, TeacherConfig
 from mekd.distill import GEN_INPUTS, DistillConfig
 from mekd.gan import GENERATOR_LOSS_MODES, PRIOR_KINDS, VARIANTS, GanConfig
 
@@ -70,7 +74,29 @@ def test_non_finite_float_rejected(section, key, raw):
         RunConfig.from_ini(f"[{section}]\n{key} = {raw}\n")
 
 
+# values that used to load and train a chance-level teacher, or fail only
+# inside a stage
+LOAD_PROBES = [
+    ("teacher", "epochs = -1", "epochs and m must be >= 1, got -1, 64"),
+    ("teacher", "crop_pad = 40", r"crop_pad must be in \[0, 8\), got 40"),
+    ("teacher", "m = 0", "epochs and m must be >= 1, got 60, 0"),
+    ("teacher", "lr = -1.0", "lr must be positive, got -1.0"),
+    ("distill", "lr = -0.1", "lr must be positive, got -0.1"),
+    ("data", "per_class_test = 0", "per_class_test must be >= 1, got 0"),
+    ("data", "spread = -1.0", "spread must be >= 0.0, got -1.0"),
+    ("teacher", "hflip = true\n[data]\nn = 15", r"hflip and crop_pad need a square \[data\] n"),
+    ("gan", "momentum = 1.0", r"momentum must be in \[0, 1\), got 1.0"),
+    ("distill", "momentum = 1.5", r"momentum must be in \[0, 1\), got 1.5"),
+]
+
+
 @pytest.mark.parametrize("section, lines, message", [
+    *LOAD_PROBES,
+    ("teacher", "crop_pad = -1", r"crop_pad must be in \[0, 8\), got -1"),
+    ("teacher", "crop_pad = 1\n[data]\nn = 15", r"hflip and crop_pad need a square \[data\] n"),
+    ("gan", "lr_d = 0", "lr_d must be positive, got 0.0"),
+    ("data", "per_class = 0", "per_class must be >= 1, got 0"),
+    ("data", "test_subset = 0", "test_subset must be >= 1, got 0"),
     ("distill", "alpha = 0\nbeta = 0", "at least one of alpha, beta"),
     ("distill", "p_norm = 3", "p_norm must be 1 or 2"),
     ("distill", "kd_tau = 0", "temperatures must be positive"),
@@ -97,6 +123,19 @@ def test_invalid_section_values_rejected_at_load(section, lines, message):
     # each value used to load and fail only in the stage that built the section
     with pytest.raises(ConfigError, match=rf"^\[{section}\] {message}"):
         RunConfig.from_ini(f"[{section}]\n{lines}\n")
+
+
+@pytest.mark.parametrize("section, lines, message", LOAD_PROBES)
+def test_cli_train_teacher_refuses_probe_values(tmp_path, capsys, monkeypatch, section, lines,
+                                                message):
+    # main() gives the mekd logger a handler on this test's captured stderr:
+    # it goes with the test, so later tests do not log into a closed stream
+    monkeypatch.setattr(logging.getLogger("mekd"), "handlers", [])
+    path, out = tmp_path / "bad.ini", tmp_path / "run"
+    path.write_text(f"[{section}]\n{lines}\n")
+    assert main(["train-teacher", "--config", str(path), "--out", str(out)]) == 1
+    assert re.search(rf"error: \[{section}\] {message}", capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_constructor_validates_its_values():
@@ -176,6 +215,9 @@ def test_sections_build_their_dataclass_defaults():
     cfg = RunConfig.defaults()
     assert cfg.build("gan") == GanConfig()
     assert cfg.build("distill") == DistillConfig()
+    assert cfg.build("teacher") == TeacherConfig()
+    assert list(SCHEMA["teacher"]) == ["hidden", "activation",
+                                       *(f.name for f in fields(TeacherConfig))]
     assert list(SCHEMA["gan"]) == [f.name.lower() for f in fields(GanConfig)]
     assert list(SCHEMA["distill"]) == [f.name.lower() for f in fields(DistillConfig)]
 
@@ -245,8 +287,10 @@ def _value_like(default):
     return _TEXT
 
 
-# [gan], [distill] and [teacher]'s schedule are checked at load, so their keys
-# draw values that the checks accept: these, or a positive number of the type
+# the sections of SECTION_TYPES and [data]'s counts and spread are checked at
+# load, so their keys draw values that the checks accept: these, or a
+# positive number of the type (a spread of 0 loads too)
+_DATA_POSITIVE = ("per_class", "per_class_test", "spread", "train_subset", "test_subset")
 _ACCEPTED = {
     "p_norm": st.sampled_from([1, 2]),
     "variant": st.sampled_from(VARIANTS),
@@ -255,6 +299,7 @@ _ACCEPTED = {
     "gen_input": st.sampled_from(GEN_INPUTS),
     "milestones": st.sets(st.integers(0, 10**4), max_size=4).map(sorted).map(tuple),
     "gamma": st.floats(0.0, 1.0, exclude_min=True),
+    "momentum": st.floats(0.0, 1.0, exclude_max=True),
 }
 
 
@@ -284,6 +329,16 @@ def _spec_accepted(cfg, key):
                      allow_infinity=False)
 
 
+def _augment_accepted(cfg, key):
+    """Values of [teacher] hflip or crop_pad that the drawn [data] n admits:
+    none but the default unless the images are square, and crops below the side."""
+    n = 784 if cfg.get("data", "kind") == "mnist" else cfg.get("data", "n")
+    side = math.isqrt(n)
+    if side * side != n:
+        return st.just(SCHEMA["teacher"][key])
+    return st.booleans() if key == "hflip" else st.integers(0, side - 1)
+
+
 @st.composite
 def _configs(draw):
     cfg = RunConfig.defaults()
@@ -295,7 +350,9 @@ def _configs(draw):
                 elif key == "hidden" or (section == "data" and key in (
                         "n", "num_classes", "value_lo", "value_hi")):
                     values = _spec_accepted(cfg, key)
-                elif section in SECTION_TYPES or (section == "teacher" and key in _ACCEPTED):
+                elif key in ("hflip", "crop_pad"):
+                    values = _augment_accepted(cfg, key)
+                elif section in SECTION_TYPES or (section == "data" and key in _DATA_POSITIVE):
                     values = _accepted_like(key, default)
                 else:
                     values = _value_like(default)

@@ -8,7 +8,6 @@ from mekd.data import (
     LABEL_MAGIC,
     Dataset,
     IdxFormatError,
-    augment,
     batches,
     hflip,
     parse_idx,
@@ -161,16 +160,6 @@ def test_random_crop_zero_pad_window():
     assert set(np.unique(out)) <= {0.0, 1.0, 2.0, 3.0, 4.0}
 
 
-def test_augment_identity_when_disabled():
-    x = np.arange(4.0)
-    assert augment(x) is x
-
-
-def test_augment_requires_rng_for_crop():
-    with pytest.raises(ValueError):
-        augment(np.zeros(4), crop_pad=1)
-
-
 def test_batches_partition_without_replacement():
     ds = Dataset(np.zeros((10, 4)), np.zeros(10, dtype=int), num_classes=2)
     idx = batches(ds, 3, seed=0)
@@ -188,17 +177,13 @@ def test_batches_deterministic_and_seed_sensitive():
     assert not np.array_equal(a, c)
 
 
-def test_batches_no_shuffle_is_sequential():
-    ds = Dataset(np.zeros((6, 4)), np.zeros(6, dtype=int), num_classes=2)
-    idx = batches(ds, 4, shuffle=False)
-    assert np.array_equal(idx[0], [0, 1, 2, 3])
-    assert np.array_equal(idx[1], [4, 5])
-
-
-def test_batches_rejects_oversized_batch():
+def test_batches_clamps_oversized_batch():
+    # a batch size above the dataset's holds every row in one shuffled batch
     ds = Dataset(np.zeros((4, 4)), np.zeros(4, dtype=int), num_classes=2)
-    with pytest.raises(ValueError):
-        batches(ds, 5)
+    (idx,) = batches(ds, 5, seed=0)
+    assert np.array_equal(idx, np.random.default_rng(0).permutation(4))
+    with pytest.raises(ValueError, match="batch size must be >= 1"):
+        batches(ds, 0)
 
 
 def test_take_subsets():

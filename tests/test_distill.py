@@ -566,7 +566,7 @@ def test_distill_with_cache_runs_the_teacher_half_forward_once_per_row(monkeypat
     assert teacher.query_count == len(ds)  # the teacher is asked as before
     assert teacher.cache_hits == (cfg.epochs - 1) * len(ds)
     epoch0 = [len(idx) for idx in batches(ds, m, seed=np.random.default_rng(
-        spawn(0, distill_module.KEY_DISTILL_EPOCH, 0)), shuffle=True)]
+        spawn(0, distill_module.KEY_DISTILL_EPOCH, 0)))]
     assert every_batch == epoch0 * cfg.epochs
     assert forwards[:len(epoch0)] == epoch0
     # later, a batch is computed only if it has 1 row, or holds epoch 0's 1-row batch's row

@@ -307,18 +307,24 @@ def _tape_cross_entropy_step(net, x, labels):
     return loss.item()
 
 
+def _train_teacher(cfg):
+    """train_teacher on a fresh teacher, as run_train_teacher calls it."""
+    run = harness._Run(cfg, "unused")
+    return harness.train_teacher(run.build("teacher"), run.train, run.test,
+                                 cfg.build("teacher"), run.seed)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_teacher_divergence_reports_epoch_and_step(tiny_cfg, monkeypatch):
     cfg = tiny_cfg.replace("teacher", "lr", 1e200)
-    train, test = harness.load_dataset(cfg)
     with pytest.raises(TrainingDiverged, match=r"teacher training at epoch \d+ step \d+"):
-        harness.train_teacher(cfg, train, test)
+        _train_teacher(cfg)
     # the array step diverges where the tape step does, naming the same op
     messages = []
     for step in (harness.cross_entropy_step, _tape_cross_entropy_step):
         monkeypatch.setattr(harness, "cross_entropy_step", step)
         with pytest.raises(TrainingDiverged) as info:
-            harness.train_teacher(cfg, train, test)
+            _train_teacher(cfg)
         messages.append((info.value.__cause__.op, str(info.value)))
     assert messages[0] == messages[1]
 
@@ -332,10 +338,9 @@ def test_train_teacher_array_step_matches_tape_step(tiny_cfg, monkeypatch, activ
     # augmentation on: the array step sees the flipped and cropped batches
     cfg = (tiny_cfg.replace("teacher", "hflip", True).replace("teacher", "crop_pad", 1)
            .replace("teacher", "activation", activation))
-    train, test = harness.load_dataset(cfg)
-    array_net, array_rows = harness.train_teacher(cfg, train, test)
+    array_net, array_rows = _train_teacher(cfg)
     monkeypatch.setattr(harness, "cross_entropy_step", _tape_cross_entropy_step)
-    tape_net, tape_rows = harness.train_teacher(cfg, train, test)
+    tape_net, tape_rows = _train_teacher(cfg)
     assert array_rows == tape_rows and len(tape_rows) == 8
     for name, p in tape_net.params.items():
         assert np.array_equal(_bits(array_net.params[name].data), _bits(p.data)), name
@@ -347,8 +352,7 @@ def test_train_teacher_smooth_teacher_runs_the_array_step(tiny_cfg, monkeypatch)
     def no_tape_loss(*args):
         raise AssertionError("tape step taken")
     monkeypatch.setattr(harness, "cross_entropy", no_tape_loss)
-    train, test = harness.load_dataset(cfg)
-    _, rows = harness.train_teacher(cfg, train, test)
+    _, rows = _train_teacher(cfg)
     assert len(rows) == 2 and all(np.isfinite(row["loss"]) for row in rows)
     assert rows[1]["loss"] < rows[0]["loss"]
 
