@@ -16,6 +16,7 @@ so a crash mid-write never leaves a truncated checkpoint at the final path.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -79,10 +80,7 @@ def loads(blob: bytes) -> dict[str, np.ndarray]:
             raise CheckpointError(f"parameter name is not UTF-8: {e.reason}") from None
         (rank,) = r.unpack("<B")
         shape = r.unpack(f"<{rank}I")
-        size = 1
-        for extent in shape:
-            size *= extent
-        raw = r.take(8 * size)
+        raw = r.take(8 * math.prod(shape))
         try:
             values = np.frombuffer(raw, dtype="<f8").reshape(shape)
         except ValueError:  # a zero extent beside extents too large for numpy

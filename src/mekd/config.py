@@ -61,10 +61,7 @@ def _keys(cls) -> dict[str, object]:
 
 
 SCHEMA: dict[str, dict[str, object]] = {
-    "run": {
-        "seed": 0,
-        "out_dir": "runs/default",
-    },
+    "run": {"seed": 0, "out_dir": "runs/default"},
     "data": {
         "kind": "blobs",
         "num_classes": 4,
@@ -81,18 +78,9 @@ SCHEMA: dict[str, dict[str, object]] = {
         "split": "same",                # GAN vs distill data
     },
     "teacher": {"hidden": (128, 64), "activation": "relu", **_keys(TeacherConfig)},
-    "student": {
-        "hidden": (32,),
-        "activation": "relu",
-    },
-    "generator": {
-        "hidden": (64, 128),
-        "activation": "relu",
-    },
-    "discriminator": {
-        "hidden": (128, 64),
-        "activation": "leaky_relu",
-    },
+    "student": {"hidden": (32,), "activation": "relu"},
+    "generator": {"hidden": (64, 128), "activation": "relu"},
+    "discriminator": {"hidden": (128, 64), "activation": "leaky_relu"},
     "gan": _keys(GanConfig),
     "distill": _keys(DistillConfig),
 }
@@ -148,7 +136,6 @@ class RunConfig:
         except configparser.Error as e:
             raise ConfigError(f"malformed config: {e}") from None
         values = cls.defaults()._values
-        values = {s: dict(keys) for s, keys in values.items()}
         for section in parser.sections():
             if section not in SCHEMA:
                 raise ConfigError(f"unknown config section [{section}]")

@@ -184,9 +184,8 @@ def hflip(x: np.ndarray) -> np.ndarray:
 def random_crop(x: np.ndarray, pad: int, rng: np.random.Generator) -> np.ndarray:
     """Zero-pad by ``pad`` on each side, then crop a random original-size window."""
     side = _spatial_side(x.shape[-1])
-    img = x.reshape(side, side)
     padded = np.zeros((side + 2 * pad, side + 2 * pad), dtype=x.dtype)
-    padded[pad:pad + side, pad:pad + side] = img
+    padded[pad:pad + side, pad:pad + side] = x.reshape(side, side)
     r0 = int(rng.integers(0, 2 * pad + 1))
     c0 = int(rng.integers(0, 2 * pad + 1))
     return padded[r0:r0 + side, c0:c0 + side].reshape(-1).copy()

@@ -449,8 +449,7 @@ def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
                              for _ in range(2)))
     log: list[dict] = []
     for epoch in range(cfg.epochs):
-        lr = multistep_lr(epoch, cfg.lr, list(cfg.milestones), cfg.gamma)
-        opt.lr = lr
+        opt.lr = lr = multistep_lr(epoch, cfg.lr, list(cfg.milestones), cfg.gamma)
         shuffle_rng = np.random.default_rng(spawn(seed, KEY_DISTILL_EPOCH, epoch))
         sums = {"total": 0.0, "distance": 0.0, "kld": 0.0}
         idx_batches = batches(ds, cfg.m, seed=shuffle_rng)

@@ -251,8 +251,7 @@ def run_gan_epoch(G: Network, D: Network, ds: Dataset, cfg: GanConfig, seed, epo
 
     array_step = takes_array_step(cfg, D)
     rows = []
-    step = 0
-    for group_start in range(0, len(idx_batches), cfg.k):
+    for step, group_start in enumerate(range(0, len(idx_batches), cfg.k)):
         group = idx_batches[group_start:group_start + cfg.k]
         loss_d = gp_value = float("nan")
         for idx in group:
@@ -290,7 +289,6 @@ def run_gan_epoch(G: Network, D: Network, ds: Dataset, cfg: GanConfig, seed, epo
 
         rows.append({"epoch": epoch, "step": step, "L_D": loss_d,
                      "L_G": loss_g, "gp": gp_value})
-        step += 1
     return rows
 
 

@@ -81,7 +81,7 @@ def op_suite(seed: int) -> list[tuple[str, Callable[..., Tensor], list[np.ndarra
     positive = np.abs(rng.standard_normal((m, n))) + 0.5
     y2 = rng.standard_normal((m, n))
 
-    cases = [
+    return [
         ("linear", lambda X, W, B: (ad.linear(X, W, B) * R).sum(), [x, w, b]),
         ("matmul", lambda X, W: (ad.matmul(X, W) * R).sum(), [x, w]),
         ("matmul_t", lambda X, W: (ad.matmul_t(X, W) * RX).sum(), [r, w]),
@@ -102,7 +102,6 @@ def op_suite(seed: int) -> list[tuple[str, Callable[..., Tensor], list[np.ndarra
         ("mul", lambda A, B: (A * B).sum(), [x, y2]),
         ("add_mul", lambda A, B: (((A + B) * 2.0 + 1.0) * RX).sum(), [x, y2]),
     ]
-    return cases
 
 
 def run_op_suite(shapes_per_op: int = 20, tol: float = 1e-4, seed: int = 0,

@@ -2,12 +2,8 @@
 
 Every stage derives its randomness from the single run seed through
 disjoint spawn-key families, so a config (which embeds the seed) fully
-determines every checkpoint byte and every CSV row.  Outputs live in the
-config's out_dir:
-
-    teacher.ckpt, generator.ckpt, generator_epoch*.ckpt, student_<method>.ckpt
-    teacher_log.csv, gan_log.csv, gan_summary.csv,
-    distill_<method>_log.csv, results.csv, ablation.csv, gradient_profiles.csv
+determines every checkpoint byte and every CSV row.  STAGES names each
+stage's subcommand and the out_dir files it reads and writes.
 """
 
 from __future__ import annotations
@@ -15,6 +11,9 @@ from __future__ import annotations
 import fcntl
 import logging
 import os
+import re
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -178,7 +177,9 @@ class _Run:
         try:
             net.load_state_dict(checkpoint.load(path))
         except FileNotFoundError:
-            raise ConfigError(f"missing checkpoint {path}; run the earlier stage first") from None
+            writer = next(command for command, stage in STAGES.items()
+                          if declares(stage.writes, name))
+            raise ConfigError(f"missing checkpoint {path}; run {writer} first") from None
         return net.freeze()
 
 
@@ -250,6 +251,7 @@ def run_train_teacher(cfg: RunConfig, out_dir: str) -> dict:
 
 FID_ROWS = 2000
 GAN_SUMMARY_HEADER = ["gen_fid", "epochs", "config_hash"]
+SNAPSHOT = "generator_epoch{epoch:04d}.ckpt"  # a [gan] snapshot_epochs entry's file
 
 
 def _fid_reference(seed, real: Dataset) -> np.ndarray:
@@ -274,7 +276,7 @@ def generator_fid(cfg: RunConfig, G: Network, real: Dataset, tag: int = 0) -> fl
 
 
 def snapshot_name(epoch: int) -> str:
-    return f"generator_epoch{epoch:04d}.ckpt"
+    return SNAPSHOT.format(epoch=epoch)
 
 
 def run_train_gan(cfg: RunConfig, out_dir: str) -> dict:
@@ -359,16 +361,17 @@ def run_distill(cfg: RunConfig, out_dir: str, method: str) -> dict:
 
 def run_ablation_fid(cfg: RunConfig, out_dir: str) -> list[dict]:
     """Distill once per snapshot that [gan] snapshot_epochs names below [gan]
-    epochs; other snapshot files in out_dir (an earlier run's) are ignored."""
-    run = _Run(cfg, out_dir)
+    epochs; other snapshot files in out_dir (an earlier run's) are ignored.
+    Both rules are checked before the datasets are made."""
     epochs = sorted({e for e in cfg.get("gan", "snapshot_epochs") if e < cfg.get("gan", "epochs")})
     if len(epochs) < 2:
         raise ConfigError(f"FID ablation needs >= 2 generator snapshots; [gan] snapshot_epochs "
                           f"names {len(epochs)} below [gan] epochs")
     for epoch in epochs:
-        if not os.path.exists(run.path(snapshot_name(epoch))):
+        if not os.path.exists(os.path.join(out_dir, snapshot_name(epoch))):
             raise ConfigError(f"missing generator snapshot {snapshot_name(epoch)}; run train-gan")
 
+    run = _Run(cfg, out_dir)
     teacher = run.load("teacher", "teacher.ckpt")
     dcfg = distill_config(cfg, "mekd")
     _, distill_ds = run.splits()
@@ -449,3 +452,52 @@ def run_grad_profile(cfg: RunConfig, out_dir: str, samples: int = 8) -> list[lis
               + [f"g{j}" for j in range(run.test.num_classes)])
     write_csv(run.path("gradient_profiles.csv"), header, rows)
     return rows
+
+
+# -- the stage table ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Stage:
+    """An experiment subcommand: its runner `run(cfg, out_dir, *flag values)`, the out_dir
+    files it may read and does write ("{...}" matches any text) and its console lines."""
+    run: Callable
+    help: str
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+    show: Callable[..., list[str]]
+    flags: dict[str, dict] = field(default_factory=dict)  # dest -> argparse keywords, run's order
+
+
+def declares(patterns, name: str) -> bool:
+    """Whether out_dir file `name` fits one of `patterns`."""
+    return any(re.fullmatch(".+".join(map(re.escape, re.split(r"\{.*?\}", p))), name)
+               for p in patterns)
+
+
+STAGES = {
+    "train-teacher": Stage(run_train_teacher, "supervised pre-training of the teacher",
+                           (), ("teacher.ckpt", "teacher_log.csv"),
+                           lambda s: [f"teacher_test_acc={s['teacher_test_acc']}"]),
+    "train-gan": Stage(run_train_gan, "stage 1: train the generator against real data",
+                       (), ("generator.ckpt", SNAPSHOT, "gan_log.csv", "gan_summary.csv"),
+                       lambda s: [f"gen_fid={s['gen_fid']}"]),
+    "distill": Stage(run_distill, "stage 2: train the student from the blind teacher",
+                     ("teacher.ckpt", "generator.ckpt", "gan_summary.csv"),
+                     ("student_{method}.ckpt", "distill_{method}_log.csv", "results.csv"),
+                     lambda s: [f"method={s['method']} teacher_acc={s['teacher_acc']} "
+                                f"student_acc={s['student_acc']}"],
+                     {"method": {"choices": ("mekd", "kd"), "default": "mekd"}}),
+    "ablate-fid": Stage(run_ablation_fid, "distill once per generator snapshot, sorted by FID",
+                        ("teacher.ckpt", SNAPSHOT), ("ablation.csv",),
+                        lambda rows: [f"gen_fid={r['gen_fid']} gan_epoch={r['gan_epoch']} "
+                                      f"student_acc={r['student_acc']}" for r in rows]),
+    "eval": Stage(run_eval, "report accuracies from checkpoints and the FID train-gan recorded",
+                  ("teacher.ckpt", "student_{method}.ckpt", "gan_summary.csv"), (),
+                  lambda s: [f"{key}={value}" for key, value in s.items()]),
+    "grad-profile": Stage(run_grad_profile, "export logit-gradient profiles per loss",
+                          ("teacher.ckpt", "generator.ckpt", "student_mekd.ckpt"),
+                          ("gradient_profiles.csv",),
+                          lambda rows: [f"wrote {len(rows)} gradient profiles"],
+                          {"samples": {"type": int, "default": 8}}),
+}

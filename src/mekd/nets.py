@@ -85,11 +85,9 @@ class Network:
     def __init__(self, spec: NetworkSpec, params: dict[str, Tensor]):
         self.spec = spec
         self.params = params
-        widths = spec.widths
         self.layers: list[tuple[Tensor, Tensor]] = [
             (params[f"layers.{i}.weight"], params[f"layers.{i}.bias"])
-            for i in range(len(widths) - 1)
-        ]
+            for i in range(len(spec.widths) - 1)]
 
     # -- plumbing ---------------------------------------------------------
 
@@ -168,8 +166,7 @@ def build_network(spec: NetworkSpec, num_classes: int, seed) -> Network:
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
     widths = spec.widths
-    for i in range(len(widths) - 1):
-        fan_in, fan_out = widths[i], widths[i + 1]
+    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
         bound = 1.0 / np.sqrt(fan_in)
         w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         b = rng.uniform(-bound, bound, size=(fan_out,))

@@ -1,4 +1,3 @@
-import logging
 import math
 import os
 import re
@@ -126,11 +125,7 @@ def test_invalid_section_values_rejected_at_load(section, lines, message):
 
 
 @pytest.mark.parametrize("section, lines, message", LOAD_PROBES)
-def test_cli_train_teacher_refuses_probe_values(tmp_path, capsys, monkeypatch, section, lines,
-                                                message):
-    # main() gives the mekd logger a handler on this test's captured stderr:
-    # it goes with the test, so later tests do not log into a closed stream
-    monkeypatch.setattr(logging.getLogger("mekd"), "handlers", [])
+def test_cli_train_teacher_refuses_probe_values(tmp_path, capsys, section, lines, message):
     path, out = tmp_path / "bad.ini", tmp_path / "run"
     path.write_text(f"[{section}]\n{lines}\n")
     assert main(["train-teacher", "--config", str(path), "--out", str(out)]) == 1

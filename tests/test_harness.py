@@ -1,4 +1,8 @@
+import builtins
+import contextlib
 import dataclasses
+import hashlib
+import io
 import logging
 import os
 import re
@@ -471,8 +475,13 @@ def test_generator_fid_makes_the_reference_subset_after_the_generated_statistics
     assert peak <= 8.5 * d * d * 8
 
 def test_run_distill_requires_teacher_checkpoint(tiny_cfg, tmp_path):
-    with pytest.raises(ConfigError, match="earlier stage"):
-        harness.run_distill(tiny_cfg, str(tmp_path / "empty"), "mekd")
+    # the error names the subcommand whose STAGES entry writes the missing file
+    out = str(tmp_path / "run")
+    with pytest.raises(ConfigError, match="teacher.ckpt; run train-teacher first"):
+        harness.run_distill(tiny_cfg, out, "mekd")
+    harness.run_train_teacher(tiny_cfg, out)
+    with pytest.raises(ConfigError, match="generator.ckpt; run train-gan first"):
+        harness.run_distill(tiny_cfg, out, "mekd")
 
 
 def _run_pipeline(cfg, out):
@@ -645,6 +654,19 @@ def test_run_ablation_reads_only_the_snapshots_the_config_names(tiny_cfg, tmp_pa
     assert sorted(row["gan_epoch"] for row in rows) == [2, 3]
 
 
+def test_run_ablation_checks_its_rules_before_loading_data(tiny_cfg, tmp_path, monkeypatch):
+    def no_data(cfg):
+        raise AssertionError("ablate-fid made the datasets before checking its rules")
+
+    monkeypatch.setattr(harness, "load_dataset", no_data)
+    out = str(tmp_path / "run")
+    # ROADMAP item 2's probe: a snapshot epoch past [gan] epochs loads, and is never saved
+    with pytest.raises(ConfigError, match=">= 2 generator snapshots"):
+        harness.run_ablation_fid(tiny_cfg.replace("gan", "snapshot_epochs", (500,)), out)
+    with pytest.raises(ConfigError, match="generator_epoch0001.ckpt; run train-gan"):
+        harness.run_ablation_fid(tiny_cfg, out)
+
+
 def test_run_ablation_names_a_missing_snapshot(tiny_cfg, tmp_path):
     # epoch 6 is not below [gan] epochs = 6, so it is never saved nor asked for
     cfg = tiny_cfg.replace("gan", "snapshot_epochs", (1, 4, 6))
@@ -804,6 +826,54 @@ def test_stages_load_datasets_once_and_split_only_on_demand(tiny_cfg, tmp_path, 
     assert counts(harness.run_grad_profile) == (1, 0)
 
 
+def _out_dir_digests(out) -> dict:
+    if not os.path.isdir(out):
+        return {}
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in os.listdir(out)}
+
+
+def test_stage_table_declares_every_file_each_stage_touches(tiny_cfg, tmp_path, monkeypatch):
+    # Each stage may read only the out_dir files its STAGES entry declares,
+    # and writes exactly the ones it declares (every pattern at least once).
+    # Reads are the files opened for reading alone: checkpoint.load opens its
+    # file, and results.csv, opened to append, is a write.
+    out = tmp_path / "run"
+    runs = [("train-teacher",), ("train-gan",), ("distill", "mekd"), ("distill", "kd"),
+            ("ablate-fid",), ("eval",), ("grad-profile", 2)]
+    assert {command for command, *_ in runs} == set(harness.STAGES)
+    # every declared read is some stage's write, so a missing one names its writer
+    assert all(any(harness.declares(writer.writes, pattern) for writer in harness.STAGES.values())
+               for stage in harness.STAGES.values() for pattern in stage.reads)
+    opened = []
+
+    def recording_open(file, mode="r", *args, _real=builtins.open, **kwargs):
+        opened.append((os.path.relpath(file, out), mode))
+        return _real(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    for command, *flags in runs:
+        stage = harness.STAGES[command]
+
+        def declared(patterns, values=dict(zip(stage.flags, flags))):
+            for key, value in values.items():
+                patterns = [p.replace(f"{{{key}}}", str(value)) for p in patterns]
+            return patterns
+
+        before, start = _out_dir_digests(out), len(opened)
+        stage.run(tiny_cfg, str(out), *flags)
+        reads = {name for name, mode in opened[start:] if not set(mode) & set("wax+")}
+        after = _out_dir_digests(out)
+        written = {name for name, digest in after.items() if before.get(name) != digest}
+        assert before.keys() <= after.keys(), command
+        assert [name for name in reads
+                if not harness.declares(declared(stage.reads), name)] == [], command
+        assert [name for name in written
+                if not harness.declares(declared(stage.writes), name)] == [], command
+        assert all(any(harness.declares([p], name) for name in written)
+                   for p in declared(stage.writes)), (command, sorted(written))
+
+
 def test_read_gan_fid_missing_returns_none(tmp_path):
     assert harness._read_gan_fid(str(tmp_path)) is None
 
@@ -921,6 +991,23 @@ def test_cli_train_teacher_and_outputs(tiny_ini_path, tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "teacher.ckpt"))
 
 
+def test_cli_logs_into_the_stderr_of_each_call(tiny_ini_path, tmp_path, monkeypatch):
+    # as in a fresh process, the first main() call gives the mekd logger its
+    # handler; a later call must not log into the first call's closed stream
+    monkeypatch.setattr(logging.getLogger("mekd"), "handlers", [])
+    monkeypatch.delenv("MEKD_LOG_LEVEL", raising=False)
+    first, second = io.StringIO(), io.StringIO()
+    for stream, out in ((first, "a"), (second, "b")):
+        with contextlib.redirect_stderr(stream):
+            assert main(["train-teacher", "--config", tiny_ini_path,
+                         "--out", str(tmp_path / out)]) == 0
+        if stream is first:
+            assert "teacher: train_acc=" in first.getvalue()
+            first.close()
+    assert "teacher: train_acc=" in second.getvalue()
+    assert "Logging error" not in second.getvalue()
+
+
 def test_cli_seed_override_changes_artifacts(tiny_ini_path, tmp_path):
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["train-teacher", "--config", tiny_ini_path, "--out", out_a,
@@ -935,7 +1022,7 @@ def test_cli_seed_override_changes_artifacts(tiny_ini_path, tmp_path):
 def test_cli_distill_without_stages_fails_cleanly(tiny_ini_path, tmp_path, capsys):
     out = str(tmp_path / "run")
     assert main(["distill", "--config", tiny_ini_path, "--out", out]) == 1
-    assert "earlier stage" in capsys.readouterr().err
+    assert "teacher.ckpt; run train-teacher first" in capsys.readouterr().err
 
 
 def test_cli_distill_bad_method_flag():

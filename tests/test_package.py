@@ -59,13 +59,14 @@ def test_benchmark_wraps_only_names_that_exist(monkeypatch):
     assert all(after[key] is value for key, value in before.items())
 
 
-def test_readme_subcommand_table_lists_exactly_the_cli_subcommands():
+def test_readme_subcommand_table_lists_the_stages_and_gradcheck_in_help_order():
+    # one list of subcommands: harness.STAGES, then gradcheck, as `mekd --help` lists them
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     table = readme.split("### Subcommands\n\n", 1)[1].split("\n\n", 1)[0]
     listed = re.findall(r"^\| `([^`]+)`", table, flags=re.MULTILINE)
     sub = next(action for action in cli._build_parser()._actions
                if isinstance(action, argparse._SubParsersAction))
-    assert sorted(listed) == sorted(sub.choices)
+    assert listed == [*harness.STAGES, "gradcheck"] == list(sub.choices)
 
 
 # ROADMAP item 7's ceiling for src/, ratcheted down to the count after
