@@ -239,7 +239,6 @@ def run_train_teacher(cfg: RunConfig, out_dir: str) -> dict:
     checkpoint.save(run.path("teacher.ckpt"), net.state_dict())
     _write_log(run.path("teacher_log.csv"), ["epoch", "loss", "train_acc", "test_acc", "lr"], rows)
     last = rows[-1]
-    log.info("teacher: train_acc=%s test_acc=%s", last["train_acc"], last["test_acc"])
     if last["test_acc"] <= 1.0 / run.train.num_classes:
         log.warning("teacher test accuracy %s is at or below chance (1/%d); students distilled "
                     "from it learn nothing", last["test_acc"], run.train.num_classes)
@@ -303,7 +302,6 @@ def run_train_gan(cfg: RunConfig, out_dir: str) -> dict:
     _write_log(run.path("gan_log.csv"), ["epoch", "step", "L_D", "L_G", "gp"], gan_log)
     write_csv(run.path("gan_summary.csv"), GAN_SUMMARY_HEADER,
               [[fid, cfg.get("gan", "epochs"), cfg.hash()]])
-    log.info("generator FID: %s", fid)
     return {"gen_fid": fid}
 
 
@@ -351,7 +349,6 @@ def run_distill(cfg: RunConfig, out_dir: str, method: str) -> dict:
     row = [method, run.seed, teacher_acc, student_acc, gen_fid,
            dcfg.alpha, dcfg.beta, dcfg.p_norm, dcfg.tau, cfg.hash()]
     append_results_row(run.path("results.csv"), RESULTS_HEADER, row)
-    log.info("distill[%s]: teacher_acc=%s student_acc=%s", method, teacher_acc, student_acc)
     return {"method": method, "teacher_acc": teacher_acc, "student_acc": student_acc,
             "gen_fid": gen_fid, "queries": blind.query_count}
 
@@ -408,24 +405,22 @@ def run_eval(cfg: RunConfig, out_dir: str) -> dict:
             out[f"student_acc_{method}"] = accuracy(run.load("student", name), run.test)
     if (gen_fid := _read_gan_fid(out_dir)) is not None:
         out["gen_fid"] = gen_fid
-    for key, value in out.items():
-        log.info("eval %s = %s", key, value)
     return out
 
 
 def run_grad_profile(cfg: RunConfig, out_dir: str, samples: int = 8) -> list[list]:
-    """Per-sample logit-gradient profiles for CE / KD / MEKD-L1 / MEKD-L2.
+    """Per-sample logit-gradient profiles of student_mekd.ckpt for CE / KD / MEKD-L1 / MEKD-L2.
 
     kd is distill_config's kd loss; mekd is the configured mekd loss at
     p_norm 1 and 2.  Each is distill.objective, with one softmax per term."""
+    if samples < 1:
+        raise ConfigError(f"grad-profile needs samples >= 1, got {samples}")
     run = _Run(cfg, out_dir)
     blind = BlindTeacher.from_network(run.load("teacher", "teacher.ckpt"))
     kd = distill_config(cfg, "kd")
     mekd = {p_norm: cfg.build("distill", p_norm=p_norm) for p_norm in (1, 2)}
     G = run.load("generator", "generator.ckpt") if mekd[1].alpha > 0 else None
-    student = run.build("student")  # trainable: the profiles are its gradients
-    if os.path.exists(run.path("student_mekd.ckpt")):
-        student.load_state_dict(checkpoint.load(run.path("student_mekd.ckpt")))
+    student = run.load("student", "student_mekd.ckpt")
 
     def loss(side, dcfg):
         return lambda lg: objective(G, side, ad.softmax(lg), ad.softmax(lg), dcfg)[0]

@@ -179,10 +179,8 @@ def record_logit_gradients(student: Network, loss_fn, sample: np.ndarray,
     if not 0 <= true_class < num_classes:
         raise ValueError(f"class {true_class} out of range [0, {num_classes})")
     x = np.asarray(sample, dtype=np.float64).reshape(1, -1)
-    logits = student.logits(x)
-    if not logits.requires_grad:
-        raise ValueError("student parameters are frozen; no gradient to record")
-    loss = loss_fn(logits)
-    loss.backward()
-    g = logits.grad[0] + 0.0  # an intermediate gradient may hold -0.0
+    with no_grad():  # a leaf at the logits: no gradient reaches the student's parameters
+        logits = Tensor(student.logits(x).data, requires_grad=True)
+    loss_fn(logits).backward()
+    g = logits.grad[0]  # a leaf's gradient holds no -0.0
     return np.concatenate(([g[true_class]], g[:true_class], g[true_class + 1:]))

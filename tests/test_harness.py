@@ -482,6 +482,11 @@ def test_run_distill_requires_teacher_checkpoint(tiny_cfg, tmp_path):
     harness.run_train_teacher(tiny_cfg, out)
     with pytest.raises(ConfigError, match="generator.ckpt; run train-gan first"):
         harness.run_distill(tiny_cfg, out, "mekd")
+    # grad-profile profiles the distilled student, never an untrained one
+    harness.run_train_gan(tiny_cfg, out)
+    with pytest.raises(ConfigError, match="student_mekd.ckpt; run distill first"):
+        harness.run_grad_profile(tiny_cfg, out, samples=2)
+    assert not os.path.exists(os.path.join(out, "gradient_profiles.csv"))
 
 
 def _run_pipeline(cfg, out):
@@ -991,20 +996,22 @@ def test_cli_train_teacher_and_outputs(tiny_ini_path, tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "teacher.ckpt"))
 
 
-def test_cli_logs_into_the_stderr_of_each_call(tiny_ini_path, tmp_path, monkeypatch):
+def test_cli_logs_into_the_stderr_of_each_call(tiny_ini_path, tmp_path, monkeypatch, request):
     # as in a fresh process, the first main() call gives the mekd logger its
     # handler; a later call must not log into the first call's closed stream
-    monkeypatch.setattr(logging.getLogger("mekd"), "handlers", [])
-    monkeypatch.delenv("MEKD_LOG_LEVEL", raising=False)
+    logger = logging.getLogger("mekd")
+    monkeypatch.setattr(logger, "handlers", [])
+    request.addfinalizer(lambda level=logger.level: logger.setLevel(level))
+    monkeypatch.setenv("MEKD_LOG_LEVEL", "debug")  # train-teacher logs each epoch at debug
     first, second = io.StringIO(), io.StringIO()
     for stream, out in ((first, "a"), (second, "b")):
         with contextlib.redirect_stderr(stream):
             assert main(["train-teacher", "--config", tiny_ini_path,
                          "--out", str(tmp_path / out)]) == 0
         if stream is first:
-            assert "teacher: train_acc=" in first.getvalue()
+            assert "teacher epoch 0:" in first.getvalue()
             first.close()
-    assert "teacher: train_acc=" in second.getvalue()
+    assert "teacher epoch 0:" in second.getvalue()
     assert "Logging error" not in second.getvalue()
 
 
@@ -1023,6 +1030,49 @@ def test_cli_distill_without_stages_fails_cleanly(tiny_ini_path, tmp_path, capsy
     out = str(tmp_path / "run")
     assert main(["distill", "--config", tiny_ini_path, "--out", out]) == 1
     assert "teacher.ckpt; run train-teacher first" in capsys.readouterr().err
+
+
+def _save_untrained(cfg, out, *names):
+    """Save a freshly made network of each checkpoint name's role into out."""
+    roles = {"teacher.ckpt": "teacher", "generator.ckpt": "generator",
+             "student_mekd.ckpt": "student"}
+    os.makedirs(out, exist_ok=True)
+    run = harness._Run(cfg, out)
+    for name in names:
+        harness.checkpoint.save(run.path(name), run.build(roles[name]).state_dict())
+
+
+def test_cli_prints_each_eval_value_once(tiny_cfg, tiny_ini_path, tmp_path, capsys):
+    # a stage's result reaches the console through its STAGES entry's show
+    # alone: on stdout, and not logged again to stderr
+    out = str(tmp_path / "run")
+    _save_untrained(tiny_cfg, out, "teacher.ckpt", "student_mekd.ckpt")
+    harness.write_csv(os.path.join(out, "gan_summary.csv"), harness.GAN_SUMMARY_HEADER,
+                      [[0.5, 6, "abc"]])
+    assert main(["eval", "--config", tiny_ini_path, "--out", out]) == 0
+    captured = capsys.readouterr()
+    keys = ["teacher_acc", "student_acc_mekd", "gen_fid"]
+    assert [line.split("=")[0] for line in captured.out.splitlines()] == keys
+    assert [(captured.out + captured.err).count(key) for key in keys] == [1, 1, 1]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_cli_grad_profile_rejects_samples_below_one(tiny_cfg, tiny_ini_path, tmp_path,
+                                                    monkeypatch, capsys, samples):
+    # refused before any data or network is made, so an earlier profile is kept
+    out = str(tmp_path / "run")
+    _save_untrained(tiny_cfg, out, "teacher.ckpt", "generator.ckpt", "student_mekd.ckpt")
+    profile = tmp_path / "run" / "gradient_profiles.csv"
+    profile.write_bytes(b"an earlier profile\n")
+    made = []
+    monkeypatch.setattr(harness, "load_dataset",
+                        lambda *args, _real=harness.load_dataset: made.append(args) or _real(*args))
+    assert main(["grad-profile", "--config", tiny_ini_path, "--out", out,
+                 "--samples", samples]) == 1
+    assert "samples >= 1" in capsys.readouterr().err
+    assert profile.read_bytes() == b"an earlier profile\n"
+    assert made == []
 
 
 def test_cli_distill_bad_method_flag():

@@ -379,10 +379,21 @@ def test_gradient_profile_class_range_checked():
         record_logit_gradients(net, lambda z: _ce(z, 0), np.zeros(4), 3)
 
 
-def test_gradient_profile_rejects_frozen_student():
-    net = build_network(student_spec(4, 3), 3, seed=19).freeze()
-    with pytest.raises(ValueError, match="frozen"):
-        record_logit_gradients(net, lambda z: _ce(z, 0), np.zeros(4), 0)
+def test_gradient_profile_of_a_frozen_student_equals_a_trainable_copys():
+    # the profile differentiates at a logits leaf: a frozen (loaded) student
+    # gives a trainable copy's bits, and neither gets a parameter gradient
+    trainable = build_network(student_spec(4, 3), 3, seed=19)
+    frozen = build_network(student_spec(4, 3), 3, seed=19).freeze()
+    x = np.random.default_rng(20).uniform(size=4)
+
+    def loss(z):  # the logits feed two softmaxes, as a distillation objective's do
+        return _ce(z, 2) + kld_loss(kl_teacher_terms(np.full((1, 3), 1 / 3), 4.0),
+                                    ad.softmax(z), 4.0)
+
+    want = record_logit_gradients(trainable, loss, x, 2)
+    got = record_logit_gradients(frozen, loss, x, 2)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert all(p.grad is None for net in (trainable, frozen) for p in net.params.values())
 
 
 def test_cross_entropy_floors_probabilities():
