@@ -207,10 +207,12 @@ class RunConfig:
         n, classes = self.get("data", "n"), self.get("data", "num_classes")
         if min(n, classes) < 2:  # the fewest that synth_blobs makes
             raise ConfigError(f"[data] n and num_classes must be >= 2, got {n}, {classes}")
-        for key, least in (("per_class", 1), ("per_class_test", 1), ("spread", 0.0),
-                           ("train_subset", 1), ("test_subset", 1)):
-            if self.get("data", key) < least:
-                raise ConfigError(f"[data] {key} must be >= {least}, got {self.get('data', key)}")
+        for section, key, least in (("run", "seed", 0), ("data", "centroid_seed", 0),
+                                    ("data", "per_class", 1), ("data", "per_class_test", 1),
+                                    ("data", "spread", 0.0), ("data", "train_subset", 1),
+                                    ("data", "test_subset", 1)):
+            if (value := self.get(section, key)) < least:  # numpy seeds must be >= 0
+                raise ConfigError(f"[{section}] {key} must be >= {least}, got {value}")
         teacher, side = self.build("teacher"), math.isqrt(widths[0])
         if (teacher.hflip or teacher.crop_pad) and side * side != widths[0]:
             raise ConfigError(f"[teacher] hflip and crop_pad need a square [data] n, got {widths[0]}")

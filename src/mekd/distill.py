@@ -22,11 +22,12 @@ generator must be a frozen :class:`~mekd.nets.Network`.
 Each loss takes the teacher's half already computed, as arrays, and the
 student's as a tensor: ``kld_loss(kl_teacher_terms(p_t, tau), p_s, tau)`` and
 ``generation_distance(G, y_s, image_t, p_norm)`` with image_t = G(y_T).
-:func:`teacher_side` computes that half from a batch of answers.  With the
-teacher's cache on, a row's answer, and so its half, never changes, and
-:func:`distill` keeps the half per dataset row.  In a batch of >= 2 rows a
-row's bits do not depend on the other rows; a 1-row product takes BLAS's
-gemv path, whose bits differ, so a 1-row batch is computed and never kept.
+:func:`teacher_side` computes that half from a batch of answers, and
+:func:`distill` keeps it per dataset row beside the answer it came from,
+reusing it only for an answer with the same bits, whatever the teacher's
+cache.  In a batch of >= 2 rows a row's bits do not depend on the other
+rows; a 1-row product takes BLAS's gemv path, whose bits differ, so a 1-row
+batch is computed and never kept.
 """
 
 from __future__ import annotations
@@ -86,11 +87,6 @@ class BlindTeacher:
                 return net(x).data
 
         return cls(classify_fn, net.spec.output_dim, cache=cache)
-
-    @property
-    def caches(self) -> bool:
-        """Whether each row is asked once, so its answer never changes."""
-        return self._cache is not None
 
     def _ask(self, rows: np.ndarray) -> np.ndarray:
         """The function's answer for rows, counted, then checked."""
@@ -403,19 +399,21 @@ def student_step(student: Network, generator: Network | None, side: TeacherSide,
 # -- training loop --------------------------------------------------------
 
 
-def _kept_side(kept: TeacherSide, filled: np.ndarray, idx: np.ndarray, generator,
+def _kept_side(kept: TeacherSide, answers: np.ndarray, idx: np.ndarray, generator,
                p_t: np.ndarray, cfg: DistillConfig) -> TeacherSide:
     """The teacher's half of dataset rows idx, whose answers are p_t: gathered
-    from kept (one row per dataset row) when every row is filled, else computed
-    on the batch and kept, unless the batch has 1 row (see the module docstring)."""
-    if len(idx) > 1 and filled[idx].all():
+    from kept (one row per dataset row) when the answers kept with it have p_t's
+    bits (so -0.0 is not 0.0, and an unfilled NaN row never matches), else
+    computed on the batch and kept with p_t, unless the batch has 1 row (see
+    the module docstring)."""
+    if len(idx) > 1 and np.array_equal(answers[idx].view(np.int64), p_t.view(np.int64)):
         return TeacherSide(*(None if rows is None else rows.take(idx, axis=0) for rows in kept))
     side = teacher_side(generator, p_t, cfg)
     if len(idx) > 1:
         for rows, part in zip(kept, side):
             if rows is not None:
                 rows[idx] = part
-        filled[idx] = True
+        answers[idx] = p_t
     return side
 
 
@@ -426,9 +424,9 @@ def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
     labels are never touched here.
 
     eval_train/eval_test are optional: accuracy is evaluated (and labels
-    read) only when they are provided.  The teacher is asked on every batch.
-    With its cache on, the teacher's half of the loss is kept per dataset row
-    (:func:`_kept_side`); with it off, each batch's answers get their half computed.
+    read) only when they are provided.  The teacher is asked on every batch,
+    and the teacher's half of the loss is kept per dataset row, reused only
+    for answers with the same bits (:func:`_kept_side`).
     """
     if student.spec.role != "classifier":
         raise ValueError(f"student must be a classifier, got role {student.spec.role!r}")
@@ -442,11 +440,10 @@ def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
         raise ValueError("alpha > 0 requires a frozen generator network")
 
     opt = SGD(student.params, cfg.lr, momentum=cfg.momentum)
-    if teacher.caches:
-        filled = np.zeros(len(ds), dtype=bool)
-        kept = TeacherSide(np.empty((len(ds), generator.spec.output_dim)) if cfg.alpha > 0 else None,
-                           *(np.empty((len(ds), teacher.num_classes)) if cfg.beta > 0 else None
-                             for _ in range(2)))
+    answers = np.full((len(ds), teacher.num_classes), np.nan)  # kept's answers
+    kept = TeacherSide(np.empty((len(ds), generator.spec.output_dim)) if cfg.alpha > 0 else None,
+                       *(np.empty((len(ds), teacher.num_classes)) if cfg.beta > 0 else None
+                         for _ in range(2)))
     log: list[dict] = []
     for epoch in range(cfg.epochs):
         opt.lr = lr = multistep_lr(epoch, cfg.lr, list(cfg.milestones), cfg.gamma)
@@ -458,8 +455,7 @@ def distill(student: Network, teacher: BlindTeacher, generator, ds: Dataset,
             x_batch = ds.samples[idx]
             try:
                 p_t = teacher.classify(x_batch)
-                side = (_kept_side(kept, filled, idx, generator, p_t, cfg) if teacher.caches
-                        else teacher_side(generator, p_t, cfg))
+                side = _kept_side(kept, answers, idx, generator, p_t, cfg)
                 total, parts = student_step(student, generator, side, x_batch, cfg)
             except ad.NonFiniteError as e:
                 raise TrainingDiverged(

@@ -408,7 +408,7 @@ def run_eval(cfg: RunConfig, out_dir: str) -> dict:
     return out
 
 
-def run_grad_profile(cfg: RunConfig, out_dir: str, samples: int = 8) -> list[list]:
+def run_grad_profile(cfg: RunConfig, out_dir: str, samples: int) -> list[list]:
     """Per-sample logit-gradient profiles of student_mekd.ckpt for CE / KD / MEKD-L1 / MEKD-L2.
 
     kd is distill_config's kd loss; mekd is the configured mekd loss at

@@ -86,6 +86,9 @@ LOAD_PROBES = [
     ("teacher", "hflip = true\n[data]\nn = 15", r"hflip and crop_pad need a square \[data\] n"),
     ("gan", "momentum = 1.0", r"momentum must be in \[0, 1\), got 1.0"),
     ("distill", "momentum = 1.5", r"momentum must be in \[0, 1\), got 1.5"),
+    # numpy's seeding refuses a negative seed, but names no key
+    ("run", "seed = -1", "seed must be >= 0, got -1"),
+    ("data", "centroid_seed = -3", "centroid_seed must be >= 0, got -3"),
 ]
 
 
@@ -130,6 +133,14 @@ def test_cli_train_teacher_refuses_probe_values(tmp_path, capsys, section, lines
     path.write_text(f"[{section}]\n{lines}\n")
     assert main(["train-teacher", "--config", str(path), "--out", str(out)]) == 1
     assert re.search(rf"error: \[{section}\] {message}", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_negative_seed_flag_fails_before_any_stage(tmp_path, capsys):
+    path, out = tmp_path / "run.ini", tmp_path / "run"
+    path.write_text("[run]\nseed = 0\n")
+    assert main(["train-teacher", "--config", str(path), "--seed", "-1", "--out", str(out)]) == 1
+    assert "error: [run] seed must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -347,6 +358,8 @@ def _configs(draw):
                     values = _spec_accepted(cfg, key)
                 elif key in ("hflip", "crop_pad"):
                     values = _augment_accepted(cfg, key)
+                elif key in ("seed", "centroid_seed"):  # a seed is checked to be >= 0
+                    values = st.integers(0, 10**6)
                 elif section in SECTION_TYPES or (section == "data" and key in _DATA_POSITIVE):
                     values = _accepted_like(key, default)
                 else:

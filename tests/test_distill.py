@@ -540,22 +540,33 @@ def test_distill_query_accounting_with_cache():
     assert teacher.cache_hits == (cfg.epochs - 1) * len(ds)
 
 
+def _count_forwards(monkeypatch, G) -> list[int]:
+    """The rows of each tape forward of G from now on: only the teacher's half runs one."""
+    forwards = []
+    call = Network.__call__
+
+    def counted_call(net, x):
+        if net is G:
+            forwards.append(x.shape[0])
+        return call(net, x)
+
+    monkeypatch.setattr(Network, "__call__", counted_call)
+    return forwards
+
+
+@pytest.mark.parametrize("cache", [True, False], ids=["cache", "no-cache"])
 @pytest.mark.parametrize("m", [8, 23], ids=["full-batches", "1-row-last-batch"])
-def test_distill_with_cache_runs_the_teacher_half_forward_once_per_row(monkeypatch, m):
+def test_distill_runs_the_teacher_half_forward_once_per_row(monkeypatch, m, cache):
     # 24 rows: m = 8 gives three full batches per epoch, m = 23 a 1-row last batch
     def run(keep):
-        ds, teacher, student, G, cfg = _train_setup()
+        ds, _, student, G, cfg = _train_setup()
+        teacher = _function_teacher(n=4, num_classes=3, cache=cache)
         cfg = dataclasses.replace(cfg, m=m, epochs=4)
-        monkeypatch.setattr(BlindTeacher, "caches", property(lambda self: keep))
-        forwards = []  # the rows of each tape forward of G: only the teacher's half runs one
-        call = Network.__call__
-
-        def counted_call(net, x):
-            if net is G:
-                forwards.append(x.shape[0])
-            return call(net, x)
-
-        monkeypatch.setattr(Network, "__call__", counted_call)
+        if not keep:  # the reference: every batch's half computed on the batch
+            monkeypatch.setattr(distill_module, "_kept_side",
+                                lambda kept, answers, idx, generator, p_t, c:
+                                distill_module.teacher_side(generator, p_t, c))
+        forwards = _count_forwards(monkeypatch, G)
         trained, log = distill(student, teacher, G, ds, cfg, seed=0)
         monkeypatch.undo()
         return forwards, (checkpoint.dumps(trained.state_dict()), log), teacher, ds, cfg
@@ -563,8 +574,9 @@ def test_distill_with_cache_runs_the_teacher_half_forward_once_per_row(monkeypat
     forwards, kept, teacher, ds, cfg = run(True)
     every_batch, computed, _, _, _ = run(False)
     assert kept == computed  # the kept half has the bits of the recomputed one
-    assert teacher.query_count == len(ds)  # the teacher is asked as before
-    assert teacher.cache_hits == (cfg.epochs - 1) * len(ds)
+    rows = cfg.epochs * len(ds)  # the teacher is asked as before
+    assert teacher.query_count == (len(ds) if cache else rows)
+    assert teacher.cache_hits == (rows - len(ds) if cache else 0)
     epoch0 = [len(idx) for idx in batches(ds, m, seed=np.random.default_rng(
         spawn(0, distill_module.KEY_DISTILL_EPOCH, 0)))]
     assert every_batch == epoch0 * cfg.epochs
@@ -576,6 +588,30 @@ def test_distill_with_cache_runs_the_teacher_half_forward_once_per_row(monkeypat
     else:
         assert later.count(m) <= 1
         assert sorted(later) == [1] * (cfg.epochs - 1) + [m] * later.count(m)
+
+
+@pytest.mark.parametrize("zero, recomputed", [(0.0, 0), (-0.0, 3)],
+                         ids=["same-bits", "signed-zero"])
+def test_distill_recomputes_the_teacher_half_for_answers_with_other_bits(monkeypatch, zero,
+                                                                          recomputed):
+    # epoch 1's answers equal epoch 0's, but with zero as their zero entry:
+    # -0.0 == 0.0, yet its bits differ, so each of epoch 1's 3 batches is recomputed
+    ds, _, student, G, cfg = _train_setup()
+    cfg = dataclasses.replace(cfg, epochs=2)
+    zeros = [0.0]
+
+    def classify_fn(x):
+        p = np.full((len(x), 3), zeros[0])
+        p[:, :2] = 0.5
+        return p
+
+    def next_epoch(epoch, student, row):
+        zeros[0] = zero
+
+    forwards = _count_forwards(monkeypatch, G)
+    distill(student, BlindTeacher(classify_fn, 3, cache=False), G, ds, cfg, seed=0,
+            epoch_callback=next_epoch)
+    assert forwards == [cfg.m] * (len(ds) // cfg.m + recomputed)
 
 
 def test_distill_without_cache_steps_on_each_batch_fresh_answers(monkeypatch):

@@ -828,7 +828,7 @@ def test_stages_load_datasets_once_and_split_only_on_demand(tiny_cfg, tmp_path, 
     assert counts(harness.run_distill, "kd") == (1, 1)
     assert counts(harness.run_ablation_fid) == (1, 1)
     assert counts(harness.run_eval) == (1, 0)  # reads the FID the GAN stage recorded
-    assert counts(harness.run_grad_profile) == (1, 0)
+    assert counts(harness.run_grad_profile, 2) == (1, 0)
 
 
 def _out_dir_digests(out) -> dict:
