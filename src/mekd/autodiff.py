@@ -306,15 +306,11 @@ def reshape(a: Tensor, shape) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
     data += 0.0  # relu(-0.0) is +0.0
-    if not _needs_grad((a,)):
-        return _result(data, (a,), "relu", ())
     mask = (a.data > 0).astype(np.float64)
     return _result(data, (a,), "relu", (lambda g: g * mask,))
 
 
 def leaky_relu(a: Tensor, alpha: float) -> Tensor:
-    if not _needs_grad((a,)):
-        return _result(np.maximum(a.data, alpha * a.data), (a,), "leaky_relu", ())
     slope = np.where(a.data > 0, 1.0, alpha)
     return _result(a.data * slope, (a,), "leaky_relu", (lambda g: g * slope,))
 

@@ -193,11 +193,11 @@ def _resoften(p: Tensor, tau: float) -> Tensor:
 def kl_teacher_terms(p_t: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """kld_loss's teacher terms for answer rows p_t: p_t re-softened at tau
     (when tau != 1), clamped at 1e-12, and its log."""
-    q = ad.constant(p_t)
+    q = ad.constant(p_t).data
     if tau != 1.0:
-        q = _resoften(q, tau)
-    q = ad.clip(q, PROB_FLOOR, 1.0)
-    return q.data, ad.log(q).data
+        q = _resoftened(q, tau)[0]
+    q = ad.checked(np.clip(q, PROB_FLOOR, 1.0), "clip")
+    return q, ad.checked(np.log(q), "log")
 
 
 def kld_loss(terms_t, p_s: Tensor, tau: float) -> Tensor:
@@ -255,7 +255,7 @@ def teacher_side(generator, p_t: np.ndarray, cfg: DistillConfig) -> TeacherSide:
     """The teacher's half of student_loss for answer rows p_t, computed on the batch."""
     image = p = log_p = None
     if cfg.alpha > 0:
-        image = generator(generator_input(ad.constant(p_t), cfg)).data
+        image = generator(_feed(p_t, cfg)[0]).data  # generator_input's values
     if cfg.beta > 0:
         p, log_p = kl_teacher_terms(p_t, cfg.tau)
     return TeacherSide(image, p, log_p)

@@ -27,7 +27,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .data import Dataset, batches, spawn
 from .nets import (HIDDEN_DERIVATIVE, PIECEWISE_LINEAR, Network, affine, backward_pass,
-                   generator_backward, generator_pass, hidden_pass)
+                   forward, generator_backward, generator_pass, hidden_pass)
 from .optim import SGD, TrainingDiverged, check_schedule, check_sgd, multistep_lr
 
 EPS = 1e-7
@@ -122,11 +122,9 @@ def input_gradient(D: Network, x) -> Tensor:
     differentiable with respect to the critic's parameters; this is what
     lets the gradient penalty train by ordinary backprop.  Each layer's
     derivative is read from its activation alone; a piecewise-linear
-    critic's reads only the sign, so its hidden pass records no graph.
+    critic's is a constant mask of the sign, which no gradient passes.
     """
-    piecewise = D.spec.activation in PIECEWISE_LINEAR
-    with no_grad() if piecewise else contextlib.nullcontext():
-        hidden = D._hidden(x)[1:]
+    hidden = D._hidden(D._input(x))[1:]
     derivative = HIDDEN_DERIVATIVE[D.spec.activation]
     delta = ad.constant(np.ones((x.shape[0], 1)))
     for (w, _), h in zip(reversed(D.layers[1:]), reversed(hidden)):
@@ -160,8 +158,8 @@ def wgan_generator_loss(D: Network, G: Network, z_batch: np.ndarray) -> Tensor:
 
 # -- the array step ---------------------------------------------------------
 #
-# Each expression is the one the named tape op computes; the layer walk is
-# nets.hidden_pass and nets.backward_pass.  The ones go unchecked (finite).
+# Each expression is the one the named tape op computes; the layer walks are
+# nets.forward, nets.hidden_pass and nets.backward_pass.  The ones go unchecked (finite).
 
 
 def takes_array_step(cfg: GanConfig, D: Network) -> bool:
@@ -177,7 +175,7 @@ def wgan_critic_step(D: Network, G: Network, x_batch: np.ndarray, z_batch: np.nd
     real pass's, then the penalty's, layer 0 first.
     """
     m = len(x_batch)
-    fake = generator_pass(G, ad.checked(z_batch, "leaf"))[-1]
+    fake = forward(G, ad.checked(z_batch, "leaf"))
     fake_pass = hidden_pass(D, fake)
     mean_f = ad.checked_mean(affine(fake_pass[0][-1], *D.layers[-1]))
     real_pass = hidden_pass(D, ad.checked(x_batch, "leaf"))

@@ -7,9 +7,12 @@ Role contracts enforced at build time:
   * discriminator maps R^n -> (0, 1) (terminal sigmoid); its pre-sigmoid
     score, ``logits``, is the critic value for wgan-gp
 
-The array steps (GAN, distillation, teacher) share one array layer walk,
-:func:`hidden_pass` and :func:`backward_pass`, for every hidden activation:
-the tape's expressions and checks in the tape's order, so its bits.
+``net(x)`` and ``net.logits(x)`` record a graph only when something needs
+a gradient; otherwise (under ``no_grad``, or a frozen net on a constant
+input) they run :func:`forward`, which builds no slopes and holds one
+activation at a time.  The array steps share :func:`hidden_pass` and
+:func:`backward_pass`.  Both array walks run the tape's expressions and
+checks in the tape's order, so its bits.
 """
 
 from __future__ import annotations
@@ -31,20 +34,36 @@ _HIDDEN = {
     "sigmoid": ad.sigmoid,
 }
 
+# The array walks' activations, in place on a fresh pre-activation z (but
+# sigmoid's stable form), with the tape's bits: for a slope in [0, 1], max(z,
+# slope * z) is its z * where(z > 0, 1, slope).  Each slope d h / d z is read
+# from the values h: h > 0 exactly where z > 0, and a sigmoid's slope is h
+# (backward_pass also scales by 1 - h).  Slopes go unchecked (finite).
+_ACTIVATE = {
+    "relu": lambda z: np.add(np.maximum(z, 0.0, out=z), 0.0, out=z),
+    "leaky_relu": lambda z: ad.checked(np.maximum(z, z * LEAKY_SLOPE, out=z), "leaky_relu"),
+    "tanh": lambda z: np.tanh(z, out=z),
+    "sigmoid": ad.sigmoid_values,
+}
+_SLOPE = {
+    "relu": lambda h: (h > 0).astype(np.float64),
+    "leaky_relu": lambda h: np.where(h > 0, 1.0, LEAKY_SLOPE),
+    "tanh": lambda h: 1.0 - h * h,
+    "sigmoid": lambda h: h,
+}
+
 # d activation / d pre-activation as a graph node, from the activation h:
-# piecewise-linear ones give constant masks (h > 0 exactly where the
-# pre-activation is), smooth ones stay differentiable through h.
+# piecewise-linear ones are their constant slopes, smooth ones graph nodes.
 HIDDEN_DERIVATIVE = {
-    "relu": lambda h: ad.constant((h.data > 0).astype(float)),
-    "leaky_relu": lambda h: ad.constant(np.where(h.data > 0, 1.0, LEAKY_SLOPE)),
+    "relu": lambda h: ad.constant(_SLOPE["relu"](h.data)),
+    "leaky_relu": lambda h: ad.constant(_SLOPE["leaky_relu"](h.data)),
     "tanh": lambda h: 1.0 - ad.square(h),
     "sigmoid": lambda h: h * (1.0 - h),
 }
 
 HIDDEN_ACTIVATIONS = tuple(_HIDDEN)
 
-# Activations whose HIDDEN_DERIVATIVE reads only the activation's sign, so
-# it needs no graph through the hidden pass.
+# Activations whose HIDDEN_DERIVATIVE reads only the activation's sign.
 PIECEWISE_LINEAR = frozenset({"relu", "leaky_relu"})
 
 
@@ -114,28 +133,36 @@ class Network:
 
     # -- forward passes ---------------------------------------------------
 
-    def _hidden(self, x) -> list[Tensor]:
-        """Run the hidden layers on a 2-d batch; returns every activation,
-        the input first and the last hidden layer's last."""
+    def _input(self, x) -> Tensor:
+        """x as a checked tensor, which must be a (rows, input_dim) batch."""
         t = x if isinstance(x, Tensor) else ad.constant(x)
         if t.data.ndim != 2 or t.shape[1] != self.spec.input_dim:
             raise ValueError(f"{self.spec.role} expects a (rows, {self.spec.input_dim}) "
                              f"batch, got shape {t.shape}")
-        act = _HIDDEN[self.spec.activation]
+        return t
+
+    def _hidden(self, t: Tensor) -> list[Tensor]:
+        """The hidden layers on the tape; returns every activation, t first."""
         hidden = [t]
         for w, b in self.layers[:-1]:
-            hidden.append(act(ad.linear(hidden[-1], w, b)))
+            hidden.append(_HIDDEN[self.spec.activation](ad.linear(hidden[-1], w, b)))
         return hidden
 
     def logits(self, x) -> Tensor:
         """The last layer's affine output: classifier logits, critic score."""
-        w, b = self.layers[-1]
-        return ad.linear(self._hidden(x)[-1], w, b)
+        return self._forward(x, head=False)
 
     def __call__(self, x) -> Tensor:
         # not self.logits(x): the benchmark counts each call of either as one pass
-        w, b = self.layers[-1]
-        out = ad.linear(self._hidden(x)[-1], w, b)
+        return self._forward(x, head=True)
+
+    def _forward(self, x, head: bool) -> Tensor:
+        t = self._input(x)
+        if not ad._needs_grad((t, *self.params.values())):
+            return ad.constant(forward(self, t.data, head))
+        out = ad.linear(self._hidden(t)[-1], *self.layers[-1])
+        if not head:
+            return out
         if self.spec.role == "classifier":
             return ad.softmax(out)
         if self.spec.role == "discriminator":
@@ -175,11 +202,7 @@ def build_network(spec: NetworkSpec, num_classes: int, seed) -> Network:
     return Network(spec, params)
 
 
-# -- the array layer walk --------------------------------------------------
-#
-# leaky_relu is always z * slope (bit-equal to its no-grad np.maximum form);
-# piecewise slopes come from z's sign, and they, tanh and sigmoid go unchecked
-# (finite), as in the tape.  A sigmoid's slope is h: its backward is g * h * (1 - h).
+# -- the array layer walks -------------------------------------------------
 
 
 def affine(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
@@ -188,27 +211,26 @@ def affine(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
     return ad.checked(z, "linear")
 
 
+def forward(net: Network, x: np.ndarray, head: bool = True) -> np.ndarray:
+    """net(x) of a checked array x, or with ``head=False`` net.logits(x), with no slopes."""
+    for w, b in net.layers[:-1]:
+        x = _ACTIVATE[net.spec.activation](affine(x, w, b))
+    x = affine(x, *net.layers[-1])  # rebinding x frees the last activation
+    if not head:
+        return x
+    if net.spec.role == "classifier":
+        return ad.softmax_rows(x)
+    if net.spec.role == "discriminator":
+        return ad.sigmoid_values(x)
+    return _images(net, np.tanh(x, out=x))
+
+
 def hidden_pass(net: Network, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Each layer's input (x first, the head's last) and each hidden activation's slope."""
-    act = net.spec.activation
-    inputs, slopes = [x], []
+    inputs = [x]
     for w, b in net.layers[:-1]:
-        z = affine(inputs[-1], w, b)
-        if act == "leaky_relu":
-            slopes.append(np.where(z > 0, 1.0, LEAKY_SLOPE))
-            inputs.append(ad.checked(z * slopes[-1], "leaky_relu"))
-        elif act == "relu":
-            slopes.append((z > 0).astype(np.float64))
-            h = np.maximum(z, 0.0)
-            h += 0.0  # relu(-0.0) is +0.0
-            inputs.append(h)
-        elif act == "tanh":
-            inputs.append(np.tanh(z))
-            slopes.append(1.0 - inputs[-1] * inputs[-1])
-        else:
-            inputs.append(ad.sigmoid_values(z))
-            slopes.append(inputs[-1])
-    return inputs, slopes
+        inputs.append(_ACTIVATE[net.spec.activation](affine(inputs[-1], w, b)))
+    return inputs, list(map(_SLOPE[net.spec.activation], inputs[1:]))
 
 
 def backward_pass(net: Network, inputs: list[np.ndarray], slopes: list[np.ndarray],
@@ -225,9 +247,9 @@ def backward_pass(net: Network, inputs: list[np.ndarray], slopes: list[np.ndarra
                 return None
         g = g @ w.data.T
         if i:
-            g = g * slopes[i - 1]
+            g *= slopes[i - 1]
             if sigmoid:
-                g = g * (1.0 - inputs[i])
+                g *= 1.0 - inputs[i]
     return g
 
 
@@ -241,10 +263,15 @@ def generator_pass(G: Network, y: np.ndarray):
     """G(y) for a checked feed y: (inputs, slopes, tanh output, images)."""
     inputs, slopes = hidden_pass(G, y)
     t = np.tanh(affine(inputs[-1], *G.layers[-1]))
+    return inputs, slopes, t, _images(G, t)
+
+
+def _images(G: Network, t: np.ndarray) -> np.ndarray:
+    """G's images from its head's tanh values t: the tape's add, mul and add."""
     lo, hi = G.spec.output_range
     images = ad.checked(t + 1.0, "add")
-    images = ad.checked(images * (0.5 * (hi - lo)), "mul")
-    return inputs, slopes, t, ad.checked(images + lo, "add")
+    images = ad.checked(np.multiply(images, 0.5 * (hi - lo), out=images), "mul")
+    return ad.checked(np.add(images, lo, out=images), "add")
 
 
 def generator_backward(G: Network, inputs, slopes, t: np.ndarray, g: np.ndarray,

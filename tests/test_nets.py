@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 from mekd import autodiff as ad
+from mekd import harness, nets
 from mekd.autodiff import Tensor
+from mekd.config import RunConfig
+from mekd.distill import GEN_INPUTS, BlindTeacher, DistillConfig, teacher_side
+from mekd.metrics import accuracy
 from mekd.nets import DimensionContractError, NetworkSpec, build_network
 from specs import discriminator_spec, generator_spec, student_spec, teacher_spec
+from test_harness import TINY_INI
 
 
 def test_spec_rejects_unknown_role_and_activation():
@@ -156,3 +161,104 @@ def test_leaky_relu_hidden_activation_used():
     x = Tensor(-np.ones((2, 4)) * 50.0, requires_grad=True)
     net.logits(x).sum().backward()
     assert np.any(x.grad != 0.0)
+
+
+# -- the array forward: net(x) and net.logits(x) when nothing needs a gradient --
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _spec(role, activation, hidden, **kw):
+    width = {"classifier": 3, "discriminator": 1, "generator": 6}[role]
+    return NetworkSpec(role, 3 if role == "generator" else 6, hidden, width,
+                       activation=activation, **kw)
+
+
+def _pair(role, activation, hidden, **kw):
+    """A trainable net (the tape's reference) and a copy with the same weights."""
+    spec = _spec(role, activation, hidden, **kw)
+    return build_network(spec, 3, seed=21), build_network(spec, 3, seed=21)
+
+
+def _no_tape_pass(net, how, method, x):
+    """net's `method` of x with no graph: net frozen, or under no_grad."""
+    if how == "frozen":
+        return getattr(net.freeze(), method)(x)
+    with ad.no_grad():
+        return getattr(net, method)(x)
+
+
+_ROLES_ACTS = [(role, act) for role in ("classifier", "generator", "discriminator")
+               for act in ("relu", "leaky_relu", "tanh", "sigmoid")]
+
+
+@pytest.mark.parametrize("method", ["__call__", "logits"])
+@pytest.mark.parametrize("how", ["frozen", "no_grad"])
+@pytest.mark.parametrize("rows", [1, 64])
+@pytest.mark.parametrize("hidden", [(), (7, 5)])
+@pytest.mark.parametrize("role,activation", _ROLES_ACTS)
+def test_pass_without_gradient_equals_the_tape_and_records_nothing(role, activation, hidden,
+                                                                   rows, how, method):
+    tape_net, net = _pair(role, activation, hidden, output_range=(-1.0, 2.0))
+    x = np.random.default_rng(rows).normal(scale=3.0, size=(rows, tape_net.spec.input_dim))
+    x[0] = 0.0
+    x.flags.writeable = False
+    before = x.copy()
+    want = getattr(tape_net, method)(x)
+    assert want._parents  # the reference took the tape
+    got = _no_tape_pass(net, how, method, x)
+    assert np.array_equal(_bits(got.data), _bits(want.data))
+    assert got._parents == () and not got.requires_grad
+    assert np.array_equal(_bits(x), _bits(before))
+
+
+def _raised_op(fn) -> str:
+    with pytest.raises(ad.NonFiniteError) as info:
+        fn()
+    return info.value.op
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method", ["__call__", "logits"])
+@pytest.mark.parametrize("how", ["frozen", "no_grad"])
+@pytest.mark.parametrize("role,activation", _ROLES_ACTS)
+def test_pass_without_gradient_names_the_tapes_non_finite_op(role, activation, how, method,
+                                                              monkeypatch):
+    x = np.random.default_rng(2).normal(scale=3.0, size=(4, _spec(role, "relu", ()).input_dim))
+    cases = [("weight", {}, "linear")]  # a non-finite weight: the first affine map fails
+    if activation == "leaky_relu":
+        cases.append(("slope", {}, "leaky_relu"))
+    if role == "generator" and method == "__call__":
+        cases.append(("range", {"output_range": (-1e308, 1e308)}, "mul"))
+    for case, kw, op in cases:
+        tape_net, net = _pair(role, activation, (7, 5), **kw)
+        with monkeypatch.context() as m:
+            if case == "weight":
+                for n in (tape_net, net):
+                    n.params["layers.1.weight"].data[0, 0] = np.inf
+            elif case == "slope":
+                m.setattr(nets, "LEAKY_SLOPE", 1e308)  # overflows z * slope
+            assert _raised_op(lambda: getattr(tape_net, method)(x * 1e3)) == op
+            assert _raised_op(lambda: _no_tape_pass(net, how, method, x * 1e3)) == op
+
+
+def test_evaluation_passes_record_no_tape_node(monkeypatch):
+    cfg = RunConfig.from_ini(TINY_INI)
+    run = harness._Run(cfg, "unused")
+    teacher, G = run.build("teacher"), run.build("generator").freeze()
+    x = run.test.samples[:20]
+    results = []
+    real_result = ad._result
+
+    def counting(*args, **kwargs):
+        results.append(args[2])
+        return real_result(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "_result", counting)
+    accuracy(teacher, run.test)  # a trainable teacher, as during its training
+    p_t = BlindTeacher.from_network(teacher).classify(x)
+    for gen_input in GEN_INPUTS:
+        teacher_side(G, p_t, DistillConfig(gen_input=gen_input, gen_tau=2.0))
+    harness.generator_fid(cfg, G, run.train)
+    assert results == []

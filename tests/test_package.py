@@ -69,10 +69,12 @@ def test_readme_subcommand_table_lists_the_stages_and_gradcheck_in_help_order():
     assert listed == [*harness.STAGES, "gradcheck"] == list(sub.choices)
 
 
-# ROADMAP item 7's ceiling for src/, ratcheted down to the count after
-# distill() kept the teacher's half per row whatever the cache; a change that
-# crosses it pays for its lines first
-SRC_LINE_CEILING = 3058
+# ROADMAP item 7's ceiling for src/: raised from 3,058 to the count after
+# network calls that need no gradient took the array forward (+21, the rest
+# paid by deleting hidden_pass's per-activation branches and the no-grad
+# branches of ad.relu and ad.leaky_relu); a change that crosses it pays for
+# its lines first
+SRC_LINE_CEILING = 3079
 
 
 def test_src_line_budget():
