@@ -226,7 +226,7 @@ def _raised_op(fn) -> str:
 def test_pass_without_gradient_names_the_tapes_non_finite_op(role, activation, how, method,
                                                               monkeypatch):
     x = np.random.default_rng(2).normal(scale=3.0, size=(4, _spec(role, "relu", ()).input_dim))
-    cases = [("weight", {}, "linear")]  # a non-finite weight: the first affine map fails
+    cases = [("weight", {}, "linear")]  # an infinite weight: its affine map fails
     if activation == "leaky_relu":
         cases.append(("slope", {}, "leaky_relu"))
     if role == "generator" and method == "__call__":
